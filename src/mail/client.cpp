@@ -333,7 +333,7 @@ Result<std::size_t> MailClient::sync_inbox() {
   // command crosses inline, the body by descriptor, staged once into a
   // pool slot. On substrates without region support (TPM/fTPM) —
   // no_region_support from region_between — the copy path below moves each
-  // body with exactly one copy (call_batch's delivery of the moved buffer).
+  // body with exactly one copy (the flush's delivery of the moved buffer).
   std::optional<runtime::RegionPool> body_pool;
   if (auto region = assembly_->region_between("ui", "storage"); region) {
     const auto ui = *assembly_->component("ui");

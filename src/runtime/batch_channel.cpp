@@ -1,6 +1,5 @@
 #include "runtime/batch_channel.h"
 
-#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -198,45 +197,30 @@ Status BatchChannel::flush() {
     trace_scope.emplace(first_traced->ctx);
   }
 
-  // Mixed batches ride the scatter-gather engine: an inline entry becomes
-  // an SgRequest with no segments, which crosses at exactly the same cost
-  // as it would on call_batch. A pure-inline batch keeps the plain path
-  // (and its moved-buffer zero-recopy property).
-  const bool has_sg = std::any_of(
-      batch.begin(), batch.end(),
-      [](const Pending& pending) { return !pending.segments.empty(); });
-
-  Result<substrate::BatchReply> reply = Errc::would_block;  // placeholder
+  // Every flush rides the scatter-gather call: an inline entry becomes an
+  // SgRequest with no segments, which crosses at exactly the cost it would
+  // on call_batch, and its buffer is moved in, not copied, so the payload is
+  // still copied exactly once (by the substrate's delivery).
+  std::vector<substrate::SgRequest> requests;
+  requests.reserve(batch.size());
   // Per-entry size of the sync-equivalent *copy* message: inline bytes, or
   // header + the payload bytes the descriptors name. This is the honest
   // baseline the amortization/zero-copy savings are measured against.
   std::vector<std::size_t> sync_sizes(batch.size(), 0);
-
-  if (!has_sg) {
-    std::vector<Bytes> requests;
-    requests.reserve(batch.size());
-    for (Pending& pending : batch)
-      requests.push_back(std::move(pending.request));
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      sync_sizes[i] = requests[i].size();
-    reply = substrate_.call_batch(actor_, channel_, requests);
-  } else {
-    std::vector<substrate::SgRequest> requests;
-    requests.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Pending& pending = batch[i];
-      std::size_t payload = 0;
-      for (const substrate::RegionDescriptor& seg : pending.segments)
-        payload += seg.length;
-      sync_sizes[i] = pending.request.size() + payload;
-      counters_->zero_copy_bytes += payload;
-      substrate::SgRequest request;
-      request.header = std::move(pending.request);
-      request.segments = std::move(pending.segments);
-      requests.push_back(std::move(request));
-    }
-    reply = substrate_.call_batch_sg(actor_, channel_, requests);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Pending& pending = batch[i];
+    std::size_t payload = 0;
+    for (const substrate::RegionDescriptor& seg : pending.segments)
+      payload += seg.length;
+    sync_sizes[i] = pending.request.size() + payload;
+    counters_->zero_copy_bytes += payload;
+    substrate::SgRequest request;
+    request.header = std::move(pending.request);
+    request.segments = std::move(pending.segments);
+    requests.push_back(std::move(request));
   }
+  Result<substrate::BatchReply> reply =
+      substrate_.call_batch_sg(actor_, channel_, requests);
   counters_->record_batch(batch.size());
   if (!reply) {
     // Batch-level refusal (no handler, revoked channel, ...): every

@@ -6,7 +6,7 @@
 // layered over a substrate channel. The client enqueues many invocations
 // (no crossing), then flush() carries the whole batch across the isolation
 // boundary with the fixed crossing cost paid ONCE per direction
-// (IsolationSubstrate::call_batch), and replies come back through the
+// (IsolationSubstrate::call_batch_sg), and replies come back through the
 // completion ring tagged with their submission ids.
 //
 // Contract:
@@ -85,7 +85,7 @@ class BatchChannel {
   Result<SubmissionId> submit(BytesView request, SubmitOptions opts = {});
   /// Move-in overload: adopts the request buffer instead of copying it.
   /// On substrates without region support this is the whole fallback
-  /// story — the payload is copied exactly once (by call_batch's delivery),
+  /// story — the payload is copied exactly once (by the flush's delivery),
   /// never re-copied into the ring.
   Result<SubmissionId> submit(Bytes&& request, SubmitOptions opts = {});
 
@@ -116,7 +116,7 @@ class BatchChannel {
 
   /// Cross the boundary once with everything queued. Cancelled and
   /// deadline-expired invocations complete without running; the rest go
-  /// through IsolationSubstrate::call_batch. No-op on an empty queue.
+  /// through IsolationSubstrate::call_batch_sg. No-op on an empty queue.
   Status flush();
 
   /// Pop the next completion; Errc::would_block when none is ready.

@@ -399,25 +399,124 @@ Result<Message> IsolationSubstrate::receive(DomainId actor, ChannelId channel) {
 
 Result<Bytes> IsolationSubstrate::call(DomainId actor, ChannelId channel,
                                        BytesView data) {
+  return deliver_one(actor, channel, {data, {}}, "call");
+}
+
+Result<BatchReply> IsolationSubstrate::call_batch(
+    DomainId actor, ChannelId channel, const std::vector<Bytes>& requests) {
+  std::vector<RequestView> views;
+  views.reserve(requests.size());
+  for (const Bytes& request : requests) views.push_back({request, {}});
+  return deliver_batch(actor, channel, views, "call_batch");
+}
+
+Result<Bytes> IsolationSubstrate::call_sg(
+    DomainId actor, ChannelId channel, BytesView header,
+    std::span<const RegionDescriptor> segments) {
+  return deliver_one(actor, channel, {header, segments}, "call_sg");
+}
+
+Result<BatchReply> IsolationSubstrate::call_batch_sg(
+    DomainId actor, ChannelId channel, const std::vector<SgRequest>& requests) {
+  std::vector<RequestView> views;
+  views.reserve(requests.size());
+  for (const SgRequest& request : requests)
+    views.push_back({request.header, request.segments});
+  return deliver_batch(actor, channel, views, "call_batch_sg");
+}
+
+Result<Bytes> IsolationSubstrate::deliver_one(DomainId actor,
+                                              ChannelId channel,
+                                              const RequestView& request,
+                                              std::string_view op) {
+  Result<Bytes> reply = Errc::would_block;  // placeholder, always overwritten
+  if (const auto crossed = deliver(actor, channel, {&request, 1}, {&reply, 1},
+                                   op);
+      !crossed.ok())
+    return crossed.error();
+  return reply;
+}
+
+Result<BatchReply> IsolationSubstrate::deliver_batch(
+    DomainId actor, ChannelId channel, std::span<const RequestView> requests,
+    std::string_view op) {
+  BatchReply out;
+  out.replies.assign(requests.size(), Errc::would_block);
+  const auto crossed = deliver(actor, channel, requests, out.replies, op);
+  if (!crossed.ok()) return crossed.error();
+  out.crossing_cycles = *crossed;
+  return out;
+}
+
+Result<Cycles> IsolationSubstrate::deliver(
+    DomainId actor, ChannelId channel, std::span<const RequestView> requests,
+    std::span<Result<Bytes>> replies, std::string_view op) {
+  // The crossing carries each header plus 16 bytes per descriptor — never
+  // the payload. This is the whole economics of the zero-copy plane.
+  const auto wire_bytes = [](const RequestView& request) {
+    return request.header.size() +
+           kDescriptorWireBytes * request.segments.size();
+  };
   ChannelRecord* chan = find_channel(channel);
   if (!chan) return Errc::no_such_channel;
   if (actor != chan->a && actor != chan->b) return Errc::access_denied;
   if (const Status s = check_live(actor); !s.ok()) return s.error();
-  if (data.size() > chan->spec.max_message_bytes)
-    return Errc::invalid_argument;
+  for (const RequestView& request : requests)
+    if (wire_bytes(request) > chan->spec.max_message_bytes)
+      return Errc::invalid_argument;
   const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
   if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call")) return Errc::domain_dead;
+
+  // Every descriptor must pass the reference monitor *before* anything
+  // crosses: endpoints, mapping, bounds, and epoch. Crucially the region's
+  // endpoints must be exactly {actor, callee} — a descriptor naming a region
+  // the caller shares with some third domain is a confused-deputy attempt
+  // and is refused, not forwarded. A refused request fails alone (its error
+  // travels in its reply slot) without sinking the batch, and is charged no
+  // crossing share. From here on a reply slot holding an error marks a
+  // vetoed request; a deliverable one holds a placeholder value.
+  std::size_t deliverable = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Status veto;
+    for (const RegionDescriptor& desc : requests[i].segments) {
+      veto = check_descriptor(actor, desc);
+      if (veto.ok()) {
+        const RegionRecord* region = find_region(desc.region);
+        if (!(region->a == actor && region->b == callee) &&
+            !(region->a == callee && region->b == actor))
+          veto = Errc::access_denied;
+      }
+      if (!veto.ok()) break;
+    }
+    if (veto.ok()) {
+      replies[i] = Bytes{};
+      ++deliverable;
+    } else {
+      replies[i] = veto.error();
+    }
+  }
+  // Nothing to deliver: nothing crosses, so no crash can land mid-delivery,
+  // no session switch happens and no cycle is charged.
+  if (deliverable == 0) return Cycles{0};
+
+  if (fault_fires(callee, op)) return Errc::domain_dead;
   DomainRecord* callee_record = find_domain(callee);
   if (!callee_record->handler) return Errc::would_block;
+  // One serialization gate for the whole batch: a batch is a single
+  // session with the callee (the TPM's late-launch switch happens once).
   if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
 
+  // One TraceContext rides the whole batch (the request direction is a
+  // single crossing); each delivered request still gets its own
+  // dispatch/complete span, which is precisely how batching amortization
+  // becomes visible per request.
   const trace::TraceContext& ctx = trace::current_context();
   const bool traced = tracing_active() && ctx.sampled();
   const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
 
-  // One sampling decision covers both directions of this crossing, so a
-  // sampled call records exactly one request/reply pair.
+  // One sampling decision covers both directions of the crossing, so a
+  // sampled delivery records exactly one request/reply pair — which is also
+  // why profiling (like tracing) amortizes with batching.
   const bool profiled = profiling_active() && profiler_->should_sample();
   const Cycles profile_cost =
       profiled ? machine_.costs().profile_stamp : Cycles{0};
@@ -425,93 +524,19 @@ Result<Bytes> IsolationSubstrate::call(DomainId actor, ChannelId channel,
   const std::string profile_label =
       profiled ? callee_record->spec.name : std::string();
 
-  // Request transfer: a traced crossing additionally carries the 16-byte
-  // context. The reply carries nothing extra (the caller correlates by
-  // span id), so only the request direction pays trace_cost (and a sampled
-  // one the profiler's ring store).
-  note_channel_touch(channel);
-  const Cycles request_cost = message_cost(data.size()) + trace_cost +
-                              profile_cost;
-  charge_crossing(request_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, request_cost,
-                      machine_.now());
-  Invocation invocation;
-  invocation.channel = channel;
-  invocation.badge = (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  invocation.data = data;
-  Result<Bytes> reply = Errc::would_block;  // placeholder, always overwritten
-  if (traced) {
-    const std::uint32_t span = tracer_->next_span();
-    stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, data,
-               data.size());
-    invocation.trace = {ctx.trace_id, span, ctx.flags};
-    // The handler runs under the dispatch span, so crossings it makes in
-    // turn (imap -> tls) chain under this one automatically.
-    trace::TraceScope scope(invocation.trace);
-    reply = callee_record->handler(invocation);
-    stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-               reply.ok() ? BytesView(reply.value()) : BytesView{},
-               reply.ok() ? reply.value().size() : 0);
-  } else {
-    reply = callee_record->handler(invocation);
-  }
-  const Cycles reply_cost =
-      message_cost(reply.ok() ? reply.value().size() : 0);
-  charge_crossing(reply_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_cost,
-                      machine_.now());
-  return reply;
-}
-
-Result<BatchReply> IsolationSubstrate::call_batch(
-    DomainId actor, ChannelId channel, const std::vector<Bytes>& requests) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  for (const Bytes& request : requests)
-    if (request.size() > chan->spec.max_message_bytes)
-      return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call_batch")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  // One serialization gate for the whole batch: a batch is a single
-  // session with the callee (the TPM's late-launch switch happens once).
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  BatchReply out;
-  if (requests.empty()) return out;
-
-  // One TraceContext rides the whole batch (the flush direction is a single
-  // crossing); each delivered request still gets its own dispatch/complete
-  // span, which is precisely how batching amortization becomes visible per
-  // request.
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  // A batch is one crossing, so it makes one sampling decision — which is
-  // exactly why profiling (like tracing) amortizes with batching.
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
   // Request direction: one fixed boundary crossing, then per-byte copy
-  // cost for every queued request. message_cost(0) is exactly the fixed
+  // cost for every delivered request. message_cost(0) is exactly the fixed
   // part of a substrate's message cost, so the marginal cost of the 2nd..
-  // Nth request is copy-only.
+  // Nth request is copy-only, and a batch of one costs message_cost(n).
+  // A traced crossing additionally carries the 16-byte context; the reply
+  // carries nothing extra (the caller correlates by span id), so only the
+  // request direction pays trace_cost (and a sampled one the profiler's
+  // ring store).
   const Cycles fixed = message_cost(0);
   Cycles crossing = fixed + trace_cost + profile_cost;
-  for (const Bytes& request : requests)
-    crossing += message_cost(request.size()) - fixed;
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    if (replies[i].ok())
+      crossing += message_cost(wire_bytes(requests[i])) - fixed;
   note_channel_touch(channel);
   charge_crossing(crossing);
   if (profiled)
@@ -521,232 +546,45 @@ Result<BatchReply> IsolationSubstrate::call_batch(
 
   const std::uint64_t badge =
       (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  out.replies.reserve(requests.size());
-  for (const Bytes& request : requests) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!replies[i].ok()) continue;
+    const RequestView& request = requests[i];
     Invocation invocation;
     invocation.channel = channel;
     invocation.badge = badge;
-    invocation.data = request;
+    invocation.data = request.header;
+    invocation.segments = request.segments;
     if (traced) {
       const std::uint32_t span = tracer_->next_span();
-      stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, request,
-                 request.size());
+      std::uint64_t bulk = request.header.size();
+      for (const RegionDescriptor& desc : request.segments) bulk += desc.length;
+      stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, request.header,
+                 bulk);
       invocation.trace = {ctx.trace_id, span, ctx.flags};
+      // The handler runs under the dispatch span, so crossings it makes in
+      // turn (imap -> tls) chain under this one automatically.
       trace::TraceScope scope(invocation.trace);
-      out.replies.push_back(callee_record->handler(invocation));
-      const Result<Bytes>& reply = out.replies.back();
+      replies[i] = callee_record->handler(invocation);
+      const Result<Bytes>& reply = replies[i];
       stamp_span(callee, ctx, span, trace::SpanPhase::complete,
                  reply.ok() ? BytesView(reply.value()) : BytesView{},
                  reply.ok() ? reply.value().size() : 0);
     } else {
-      out.replies.push_back(callee_record->handler(invocation));
+      replies[i] = callee_record->handler(invocation);
     }
   }
 
   // Reply direction: same amortization; no trace charge (the context
   // travels caller -> callee only).
   Cycles reply_crossing = fixed;
-  for (const Result<Bytes>& reply : out.replies)
+  for (const Result<Bytes>& reply : replies)
     reply_crossing += message_cost(reply.ok() ? reply->size() : 0) - fixed;
   charge_crossing(reply_crossing);
   if (profiled)
     profiler_->sample(this, callee, profile_label,
                       health::ProfilePhase::reply, reply_crossing,
                       machine_.now());
-  out.crossing_cycles = crossing + reply_crossing;
-  return out;
-}
-
-Result<Bytes> IsolationSubstrate::call_sg(
-    DomainId actor, ChannelId channel, BytesView header,
-    std::span<const RegionDescriptor> segments) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  const std::size_t wire =
-      header.size() + kDescriptorWireBytes * segments.size();
-  if (wire > chan->spec.max_message_bytes) return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  // Every descriptor must pass the reference monitor *before* delivery:
-  // endpoints, mapping, bounds, and epoch. Crucially the region's endpoints
-  // must be exactly {actor, callee} — a descriptor naming a region the
-  // caller shares with some third domain is a confused-deputy attempt and
-  // is refused, not forwarded.
-  for (const RegionDescriptor& desc : segments) {
-    if (const Status s = check_descriptor(actor, desc); !s.ok())
-      return s.error();
-    const RegionRecord* region = find_region(desc.region);
-    if (!(region->a == actor && region->b == callee) &&
-        !(region->a == callee && region->b == actor))
-      return Errc::access_denied;
-  }
-  if (fault_fires(callee, "call_sg")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
-  // The crossing carries the header plus 16 bytes per descriptor — never
-  // the payload. This is the whole economics of the plane.
-  note_channel_touch(channel);
-  const Cycles request_cost = message_cost(wire) + trace_cost + profile_cost;
-  charge_crossing(request_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, request_cost,
-                      machine_.now());
-  Invocation invocation;
-  invocation.channel = channel;
-  invocation.badge = (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  invocation.data = header;
-  invocation.segments = segments;
-  Result<Bytes> reply = Errc::would_block;  // placeholder, always overwritten
-  if (traced) {
-    const std::uint32_t span = tracer_->next_span();
-    std::uint64_t bulk = header.size();
-    for (const RegionDescriptor& desc : segments) bulk += desc.length;
-    stamp_span(callee, ctx, span, trace::SpanPhase::dispatch, header, bulk);
-    invocation.trace = {ctx.trace_id, span, ctx.flags};
-    trace::TraceScope scope(invocation.trace);
-    reply = callee_record->handler(invocation);
-    stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-               reply.ok() ? BytesView(reply.value()) : BytesView{},
-               reply.ok() ? reply.value().size() : 0);
-  } else {
-    reply = callee_record->handler(invocation);
-  }
-  const Cycles reply_cost =
-      message_cost(reply.ok() ? reply.value().size() : 0);
-  charge_crossing(reply_cost);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_cost,
-                      machine_.now());
-  return reply;
-}
-
-Result<BatchReply> IsolationSubstrate::call_batch_sg(
-    DomainId actor, ChannelId channel, const std::vector<SgRequest>& requests) {
-  ChannelRecord* chan = find_channel(channel);
-  if (!chan) return Errc::no_such_channel;
-  if (actor != chan->a && actor != chan->b) return Errc::access_denied;
-  if (const Status s = check_live(actor); !s.ok()) return s.error();
-  for (const SgRequest& request : requests)
-    if (request.header.size() +
-            kDescriptorWireBytes * request.segments.size() >
-        chan->spec.max_message_bytes)
-      return Errc::invalid_argument;
-  const DomainId callee = (actor == chan->a) ? chan->b : chan->a;
-  if (const Status s = check_live(callee); !s.ok()) return s.error();
-  if (fault_fires(callee, "call_batch_sg")) return Errc::domain_dead;
-  DomainRecord* callee_record = find_domain(callee);
-  if (!callee_record->handler) return Errc::would_block;
-  if (const Status s = pre_call(actor, callee); !s.ok()) return s.error();
-
-  BatchReply out;
-  if (requests.empty()) return out;
-  out.replies.reserve(requests.size());
-
-  // Per-request descriptor validation happens up front; a bad descriptor
-  // fails *its* request (the error travels in replies[i]) without sinking
-  // the batch, and a refused request is not charged a crossing share.
-  std::vector<Errc> veto(requests.size(), Errc::ok);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    for (const RegionDescriptor& desc : requests[i].segments) {
-      Status s = check_descriptor(actor, desc);
-      if (s.ok()) {
-        const RegionRecord* region = find_region(desc.region);
-        if (!(region->a == actor && region->b == callee) &&
-            !(region->a == callee && region->b == actor))
-          s = Errc::access_denied;
-      }
-      if (!s.ok()) {
-        veto[i] = s.error();
-        break;
-      }
-    }
-  }
-
-  const trace::TraceContext& ctx = trace::current_context();
-  const bool traced = tracing_active() && ctx.sampled();
-  const Cycles trace_cost = traced ? trace_crossing_cost() : Cycles{0};
-
-  const bool profiled = profiling_active() && profiler_->should_sample();
-  const Cycles profile_cost =
-      profiled ? machine_.costs().profile_stamp : Cycles{0};
-  const std::string profile_label =
-      profiled ? callee_record->spec.name : std::string();
-
-  // One fixed crossing per direction for the whole batch; each request's
-  // marginal wire cost is its header + descriptors, O(1) in payload bytes.
-  const Cycles fixed = message_cost(0);
-  Cycles crossing = fixed + trace_cost + profile_cost;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (veto[i] != Errc::ok) continue;
-    crossing += message_cost(requests[i].header.size() +
-                             kDescriptorWireBytes *
-                                 requests[i].segments.size()) -
-                fixed;
-  }
-  note_channel_touch(channel);
-  charge_crossing(crossing);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::request, crossing,
-                      machine_.now());
-
-  const std::uint64_t badge =
-      (actor == chan->a) ? chan->badge_a : chan->badge_b;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (veto[i] != Errc::ok) {
-      out.replies.push_back(veto[i]);
-      continue;
-    }
-    Invocation invocation;
-    invocation.channel = channel;
-    invocation.badge = badge;
-    invocation.data = requests[i].header;
-    invocation.segments = requests[i].segments;
-    if (traced) {
-      const std::uint32_t span = tracer_->next_span();
-      std::uint64_t bulk = requests[i].header.size();
-      for (const RegionDescriptor& desc : requests[i].segments)
-        bulk += desc.length;
-      stamp_span(callee, ctx, span, trace::SpanPhase::dispatch,
-                 requests[i].header, bulk);
-      invocation.trace = {ctx.trace_id, span, ctx.flags};
-      trace::TraceScope scope(invocation.trace);
-      out.replies.push_back(callee_record->handler(invocation));
-      const Result<Bytes>& reply = out.replies.back();
-      stamp_span(callee, ctx, span, trace::SpanPhase::complete,
-                 reply.ok() ? BytesView(reply.value()) : BytesView{},
-                 reply.ok() ? reply.value().size() : 0);
-    } else {
-      out.replies.push_back(callee_record->handler(invocation));
-    }
-  }
-
-  Cycles reply_crossing = fixed;
-  for (const Result<Bytes>& reply : out.replies)
-    reply_crossing += message_cost(reply.ok() ? reply->size() : 0) - fixed;
-  charge_crossing(reply_crossing);
-  if (profiled)
-    profiler_->sample(this, callee, profile_label,
-                      health::ProfilePhase::reply, reply_crossing,
-                      machine_.now());
-  out.crossing_cycles = crossing + reply_crossing;
-  return out;
+  return crossing + reply_crossing;
 }
 
 // --- Grant regions ----------------------------------------------------------

@@ -4,9 +4,9 @@
 // do for isolation mechanisms what POSIX did for the UNIX system call
 // interface: allow application code to be independent of the underlying
 // implementation." Application code (core::SystemComposer, the examples)
-// programs against this interface; the five backends (microkernel,
-// trustzone, sgx, tpm, sep) implement it with their technology's
-// capabilities, costs and restrictions.
+// programs against this interface; the eight backends (microkernel,
+// trustzone, sgx, tpm, ftpm, sep, cheri, noc) implement it with their
+// technology's capabilities, costs and restrictions.
 //
 // Every operation names the *acting* domain. The substrate is the reference
 // monitor: it verifies that the actor holds the right to perform the
@@ -33,9 +33,9 @@
 
 namespace lateral::substrate {
 
-/// Result of a batched synchronous invocation (call_batch). `replies[i]`
-/// corresponds to `requests[i]`; `crossing_cycles` is what the substrate
-/// charged for moving the whole batch across the boundary (both
+/// Result of a batched synchronous invocation (call_batch, call_batch_sg).
+/// `replies[i]` corresponds to `requests[i]`; `crossing_cycles` is what the
+/// substrate charged for moving the whole batch across the boundary (both
 /// directions), so callers can account amortization honestly.
 struct BatchReply {
   std::vector<Result<Bytes>> replies;
@@ -127,12 +127,14 @@ class IsolationSubstrate {
   bool profiling_active() const { return profiler_ && profiler_->enabled(); }
 
   // --- Fault injection (experiment hook) ---------------------------------
-  /// Consulted at every synchronous delivery (call / call_batch) with the
-  /// callee and the operation name. Returning true crashes the callee at
-  /// that instant — kill_domain() runs and the invocation fails with
-  /// Errc::domain_dead, exactly what a caller of a component that died
-  /// mid-request observes. Supervision tests and bench_fig10 script crashes
-  /// through this without reaching into substrate internals.
+  /// Consulted once per synchronous delivery with the callee and the
+  /// operation name ("call", "call_batch", "call_sg" or "call_batch_sg").
+  /// Returning true crashes the callee at that instant — kill_domain() runs
+  /// and the invocation fails with Errc::domain_dead, exactly what a caller
+  /// of a component that died mid-request observes. Descriptors are vetoed
+  /// before the hook: a delivery with nothing left to deliver never
+  /// consults it. Supervision tests and bench_fig10 script crashes through
+  /// this without reaching into substrate internals.
   using FaultHook = std::function<bool(DomainId callee, std::string_view op)>;
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
@@ -148,28 +150,38 @@ class IsolationSubstrate {
   Status send(DomainId actor, ChannelId channel, Bytes&& data);
   /// Dequeue the next message for `actor` on `channel`; would_block if none.
   Result<Message> receive(DomainId actor, ChannelId channel);
+  // The four synchronous calls below share one delivery path and one
+  // refusal rule. A batch-level refusal (bad channel, non-endpoint actor,
+  // dead endpoint, oversized request, scripted crash, no handler, pre_call
+  // veto) fails the whole call. A request whose descriptors the reference
+  // monitor refuses fails alone, with nothing crossed on its behalf; when
+  // no request is left to deliver, the call crosses nothing at all — no
+  // fault hook, no pre_call, no cycles.
+
   /// Synchronous invocation of the peer's handler (service invocation in the
   /// structural template of Fig. 2).
   Result<Bytes> call(DomainId actor, ChannelId channel, BytesView data);
   /// Batched invocation: deliver every request to the peer's handler while
   /// crossing the isolation boundary once per direction for the whole
   /// batch. The fixed crossing cost (message_cost(0)) is charged once; only
-  /// the per-byte copy cost scales with the batch. Per-request failures
-  /// come back inside BatchReply::replies; a batch-level refusal (bad
-  /// channel, no handler, pre_call veto) fails the whole call.
-  virtual Result<BatchReply> call_batch(DomainId actor, ChannelId channel,
-                                        const std::vector<Bytes>& requests);
+  /// the per-byte copy cost scales with the batch, so a batch of one costs
+  /// exactly what call() does. Handler failures come back inside
+  /// BatchReply::replies; an empty batch crosses nothing.
+  Result<BatchReply> call_batch(DomainId actor, ChannelId channel,
+                                const std::vector<Bytes>& requests);
   /// Scatter-gather invocation: `header` crosses inline, `segments` name
   /// payload bytes already resident in a shared grant region. The crossing
   /// is charged for header + kDescriptorWireBytes per segment — O(1) in the
   /// payload size. Descriptors are validated against the region table
-  /// (endpoints, bounds, epoch) before delivery; a stale descriptor fails
-  /// the request with Errc::stale_epoch, a foreign one with access_denied.
+  /// (endpoints, bounds, epoch) before anything crosses; a stale descriptor
+  /// fails the call with Errc::stale_epoch, a foreign one with
+  /// access_denied, in either case without consulting the fault hook.
   Result<Bytes> call_sg(DomainId actor, ChannelId channel, BytesView header,
                         std::span<const RegionDescriptor> segments);
   /// Batched scatter-gather: one crossing per direction for the whole
-  /// batch, each request O(descriptors) on the wire. Per-request descriptor
-  /// failures come back inside BatchReply::replies.
+  /// batch, each request O(descriptors) on the wire. A refused descriptor
+  /// fails only its own request, inside BatchReply::replies; a batch whose
+  /// every request is refused crosses nothing.
   Result<BatchReply> call_batch_sg(DomainId actor, ChannelId channel,
                                    const std::vector<SgRequest>& requests);
   /// The badge minted for `endpoint`'s end of the channel — what the peer
@@ -439,6 +451,28 @@ class IsolationSubstrate {
   Cycles serial_free_ = 0;
   std::uint64_t serial_stalls_ = 0;
   Cycles serial_stall_cycles_ = 0;
+
+ private:
+  /// One request as the delivery core sees it: the inline bytes and the
+  /// descriptors (empty off the zero-copy path) that ride with them.
+  struct RequestView {
+    BytesView header;
+    std::span<const RegionDescriptor> segments;
+  };
+  /// The one synchronous delivery path behind call, call_batch, call_sg and
+  /// call_batch_sg (`op` names which, for the fault hook). Fills
+  /// `replies[i]` for `requests[i]` and returns the cycles charged in both
+  /// directions, or the batch-level refusal.
+  Result<Cycles> deliver(DomainId actor, ChannelId channel,
+                         std::span<const RequestView> requests,
+                         std::span<Result<Bytes>> replies, std::string_view op);
+  /// deliver() of one request into one reply, both on the stack.
+  Result<Bytes> deliver_one(DomainId actor, ChannelId channel,
+                            const RequestView& request, std::string_view op);
+  /// deliver() into a BatchReply sized to `requests`.
+  Result<BatchReply> deliver_batch(DomainId actor, ChannelId channel,
+                                   std::span<const RequestView> requests,
+                                   std::string_view op);
 };
 
 }  // namespace lateral::substrate

@@ -1,20 +1,23 @@
 // Substrate conformance suite — the paper's POSIX analogy made executable.
 //
 // One behavioural contract, instantiated against every isolation technology
-// ("microkernel", "trustzone", "sgx", "tpm", "sep"). §III-A: "Software
-// components should be developed once against the common pattern and then
-// should run on any isolation implementation." Each test either passes
-// identically on every substrate or consults info().features — never the
-// substrate's name — mirroring how portable code must behave.
+// ("microkernel", "trustzone", "sgx", "tpm", "ftpm", "sep", "cheri", "noc").
+// §III-A: "Software components should be developed once against the common
+// pattern and then should run on any isolation implementation." Each test
+// either passes identically on every substrate or consults info().features
+// — never the substrate's name — mirroring how portable code must behave.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <limits>
+#include <tuple>
+#include <utility>
 
 #include "crypto/rsa.h"
 #include "runtime/region_pool.h"
 #include "substrate/substrate.h"
 #include "test_support.h"
+#include "tpm/tpm.h"
 #include "trace/trace.h"
 
 namespace lateral::substrate {
@@ -1023,6 +1026,190 @@ TEST_P(ConformanceTest, BatchSgVetoesBadDescriptorWithoutSinkingBatch) {
   ASSERT_EQ(reply->replies.size(), 2u);
   EXPECT_TRUE(reply->replies[0].ok());
   EXPECT_EQ(reply->replies[1].error(), Errc::stale_epoch);
+}
+
+TEST_P(ConformanceTest, BatchOfOneMatchesSingleCall) {
+  // A batch of one is charged fixed + (message_cost(n) - fixed), which is
+  // exactly what the single call pays: the two are the same crossing, down
+  // to the spans and profiler samples they leave behind.
+  trace::Tracer tracer;
+  health::CycleProfiler profiler(
+      health::CycleProfiler::Config{.ring_capacity = 64, .sample_every = 1});
+  profiler.set_enabled(true);
+  substrate_->set_tracer(&tracer);
+  substrate_->set_profiler(&profiler);
+  auto [a, b] = make_pair();
+  auto channel = substrate_->create_channel(a, b);
+  ASSERT_TRUE(channel.ok());
+  ASSERT_TRUE(substrate_
+                  ->set_handler(b,
+                                [](const Invocation& inv) -> Result<Bytes> {
+                                  Bytes reply(inv.data.begin(),
+                                              inv.data.end());
+                                  reply.resize(reply.size() +
+                                                   64 * inv.segments.size(),
+                                               0x5a);
+                                  return reply;
+                                })
+                  .ok());
+  const trace::TraceContext ctx = tracer.begin_trace();
+  trace::TraceScope scope(ctx);
+
+  struct Crossing {
+    Cycles cycles = 0;
+    Bytes reply;
+    std::vector<std::pair<trace::SpanPhase, std::uint64_t>> spans;
+    std::vector<std::tuple<health::ProfilePhase, Cycles, Cycles>> samples;
+  };
+  // Everything one delivery leaves behind: its clock delta, its reply, the
+  // callee's new flight-recorder events and the new profiler samples (with
+  // their stamps relative to the start of the delivery).
+  const auto observe = [&](const auto& deliver) {
+    const std::size_t spans_before =
+        tracer.snapshot(substrate_.get(), b).size();
+    const std::size_t samples_before =
+        profiler.snapshot(substrate_.get(), b).size();
+    Crossing out;
+    const Cycles before = machine_->now();
+    out.reply = deliver();
+    out.cycles = machine_->now() - before;
+    const auto spans = tracer.snapshot(substrate_.get(), b);
+    for (std::size_t i = spans_before; i < spans.size(); ++i)
+      out.spans.emplace_back(spans[i].phase, spans[i].size);
+    const auto samples = profiler.snapshot(substrate_.get(), b);
+    for (std::size_t i = samples_before; i < samples.size(); ++i)
+      out.samples.emplace_back(samples[i].phase, samples[i].cycles,
+                               samples[i].at - before);
+    return out;
+  };
+  const auto expect_same = [](const Crossing& single,
+                              const Crossing& batched) {
+    EXPECT_EQ(single.cycles, batched.cycles);
+    EXPECT_EQ(single.reply, batched.reply);
+    EXPECT_EQ(single.spans.size(), 2u);  // dispatch + complete
+    EXPECT_EQ(single.spans, batched.spans);
+    EXPECT_EQ(single.samples.size(), 2u);  // request + reply
+    EXPECT_EQ(single.samples, batched.samples);
+  };
+
+  const Bytes request = to_bytes("batch-of-one");
+  // Warm up one-time charges (the TPM's late-launch switch).
+  ASSERT_TRUE(substrate_->call(a, *channel, request).ok());
+  expect_same(observe([&] {
+                return substrate_->call(a, *channel, request).value();
+              }),
+              observe([&] {
+                auto reply = substrate_->call_batch(
+                    a, *channel, std::vector<Bytes>{request});
+                return reply.value().replies.at(0).value();
+              }));
+
+  if (substrate_->supports_regions()) {
+    auto region = substrate_->create_region(a, b, 4096);
+    ASSERT_TRUE(region.ok());
+    ASSERT_TRUE(substrate_->map_region(a, *region).ok());
+    ASSERT_TRUE(substrate_->map_region(b, *region).ok());
+    auto desc = substrate_->make_descriptor(a, *region, 0, 1024);
+    ASSERT_TRUE(desc.ok());
+    const std::array<RegionDescriptor, 1> segments{*desc};
+    std::vector<SgRequest> requests(1);
+    requests[0].header = to_bytes("hdr");
+    requests[0].segments = {*desc};
+    expect_same(observe([&] {
+                  return substrate_
+                      ->call_sg(a, *channel, to_bytes("hdr"), segments)
+                      .value();
+                }),
+                observe([&] {
+                  auto reply = substrate_->call_batch_sg(a, *channel,
+                                                         requests);
+                  return reply.value().replies.at(0).value();
+                }));
+  }
+  substrate_->set_profiler(nullptr);
+  substrate_->set_tracer(nullptr);
+}
+
+TEST_P(ConformanceTest, UndeliverableBatchCrossesNothing) {
+  // One refusal rule for all four calls: descriptors are vetoed before
+  // anything crosses, and a call left with nothing to deliver consults no
+  // fault hook, runs no pre_call and charges no cycle.
+  auto [a, b] = make_pair();
+  auto channel = substrate_->create_channel(a, b);
+  ASSERT_TRUE(channel.ok());
+  ASSERT_TRUE(substrate_
+                  ->set_handler(b, [](const Invocation&) -> Result<Bytes> {
+                    return to_bytes("ok");
+                  })
+                  .ok());
+  int consulted = 0;
+  substrate_->set_fault_hook([&](DomainId, std::string_view) {
+    ++consulted;
+    return false;
+  });
+
+  Cycles before = machine_->now();
+  auto empty = substrate_->call_batch(a, *channel, {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->replies.empty());
+  EXPECT_EQ(empty->crossing_cycles, 0u);
+  EXPECT_EQ(machine_->now(), before);
+  EXPECT_EQ(consulted, 0);
+  // Nothing crossed, so the TPM never late-launched the callee.
+  if (const auto* chip = dynamic_cast<const tpm::Tpm*>(substrate_.get())) {
+    EXPECT_EQ(chip->active_component(), kInvalidDomain);
+  }
+
+  // A descriptor with a forged epoch; where the substrate has no regions,
+  // one naming a region that does not exist.
+  RegionDescriptor forged;
+  forged.region = 999;
+  forged.length = 16;
+  Errc refusal = Errc::invalid_argument;
+  if (substrate_->supports_regions()) {
+    auto region = substrate_->create_region(a, b, 4096);
+    ASSERT_TRUE(region.ok());
+    ASSERT_TRUE(substrate_->map_region(a, *region).ok());
+    ASSERT_TRUE(substrate_->map_region(b, *region).ok());
+    auto desc = substrate_->make_descriptor(a, *region, 0, 16);
+    ASSERT_TRUE(desc.ok());
+    forged = *desc;
+    forged.epoch = 999;
+    refusal = Errc::stale_epoch;
+  }
+
+  before = machine_->now();
+  const std::array<RegionDescriptor, 1> segments{forged};
+  EXPECT_EQ(substrate_->call_sg(a, *channel, to_bytes("hdr"), segments)
+                .error(),
+            refusal);
+  EXPECT_EQ(machine_->now(), before);
+  EXPECT_EQ(consulted, 0);
+
+  std::vector<SgRequest> requests(2);
+  requests[0].header = to_bytes("one");
+  requests[0].segments = {forged};
+  requests[1].header = to_bytes("two");
+  requests[1].segments = {forged};
+  auto vetoed = substrate_->call_batch_sg(a, *channel, requests);
+  ASSERT_TRUE(vetoed.ok());
+  ASSERT_EQ(vetoed->replies.size(), 2u);
+  EXPECT_EQ(vetoed->replies[0].error(), refusal);
+  EXPECT_EQ(vetoed->replies[1].error(), refusal);
+  EXPECT_EQ(vetoed->crossing_cycles, 0u);
+  EXPECT_EQ(machine_->now(), before);
+  EXPECT_EQ(consulted, 0);
+
+  // A mixed batch crosses once for what survived the veto.
+  requests[0].segments.clear();
+  auto mixed = substrate_->call_batch_sg(a, *channel, requests);
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_EQ(mixed->replies.size(), 2u);
+  EXPECT_TRUE(mixed->replies[0].ok());
+  EXPECT_EQ(mixed->replies[1].error(), refusal);
+  EXPECT_GT(mixed->crossing_cycles, 0u);
+  EXPECT_EQ(consulted, 1);
+  substrate_->set_fault_hook(nullptr);
 }
 
 TEST_P(ConformanceTest, KilledCalleeMidTransferReturnsPoolSlot) {
