@@ -263,9 +263,156 @@ Bignum Bignum::mulmod(const Bignum& rhs, const Bignum& m) const {
   return ((*this) * rhs) % m;
 }
 
+// Montgomery arithmetic modulo an odd m > 1, in 64-bit words with
+// 128-bit intermediates: for an n-word m, R = 2^(64n), and a value x is held
+// in Montgomery form as the n words of x*R mod m. Multiplication is CIOS
+// (coarsely integrated operand scanning), which interleaves the product with
+// the reduction. The context owns every scratch buffer, so exponentiation
+// allocates only its result.
+class Bignum::Montgomery {
+ public:
+  using Words = std::vector<std::uint64_t>;
+
+  explicit Montgomery(const Bignum& m)
+      : modulus_(m),
+        m_(pack(m, (m.limbs_.size() + 1) / 2)),
+        one_(pack((Bignum(1) << (64 * m_.size())) % m, m_.size())),
+        r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())),
+        t_(m_.size() + 2),
+        table_(16, Words(m_.size())) {
+    // Newton's iteration for m^-1 mod 2^64: m0 is its own inverse mod 2^3,
+    // and each step doubles the correct low bits (3 -> 6 -> ... -> 96).
+    const std::uint64_t m0 = m_[0];
+    std::uint64_t inv = m0;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+    m_inv_ = 0 - inv;
+  }
+
+  /// R mod m: the Montgomery form of 1.
+  const Words& one() const { return one_; }
+
+  /// x*R mod m, for any x.
+  Words to_mont(const Bignum& x) {
+    Words out = pack(x < modulus_ ? x : x % modulus_, m_.size());
+    mul(out, out, r2_);
+    return out;
+  }
+
+  /// a*R^-1 mod m, as an ordinary Bignum.
+  Bignum from_mont(const Words& a) {
+    Words plain_one(m_.size(), 0);
+    plain_one[0] = 1;
+    Words out(m_.size());
+    mul(out, a, plain_one);
+    std::vector<std::uint32_t> limbs(2 * out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      limbs[2 * i] = static_cast<std::uint32_t>(out[i]);
+      limbs[2 * i + 1] = static_cast<std::uint32_t>(out[i] >> 32);
+    }
+    return from_limbs(std::move(limbs));
+  }
+
+  /// out = a*b*R^-1 mod m, for a, b < m. out may alias a or b.
+  void mul(Words& out, const Words& a, const Words& b) {
+    using Wide = unsigned __int128;
+    const std::size_t n = m_.size();
+    std::uint64_t* t = t_.data();
+    std::fill(t_.begin(), t_.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      // t += a * b[i]
+      std::uint64_t carry = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const Wide cur = Wide(a[j]) * b[i] + t[j] + carry;
+        t[j] = static_cast<std::uint64_t>(cur);
+        carry = static_cast<std::uint64_t>(cur >> 64);
+      }
+      Wide cur = Wide(t[n]) + carry;
+      t[n] = static_cast<std::uint64_t>(cur);
+      t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
+      // t = (t + q*m) / 2^64, with q chosen so the low word cancels.
+      const std::uint64_t q = t[0] * m_inv_;
+      cur = Wide(q) * m_[0] + t[0];
+      carry = static_cast<std::uint64_t>(cur >> 64);
+      for (std::size_t j = 1; j < n; ++j) {
+        cur = Wide(q) * m_[j] + t[j] + carry;
+        t[j - 1] = static_cast<std::uint64_t>(cur);
+        carry = static_cast<std::uint64_t>(cur >> 64);
+      }
+      cur = Wide(t[n]) + carry;
+      t[n - 1] = static_cast<std::uint64_t>(cur);
+      t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
+    }
+    // t < 2m: one conditional subtraction brings it below m.
+    bool ge = t[n] != 0;
+    if (!ge) {
+      ge = true;
+      for (std::size_t j = n; j-- > 0;) {
+        if (t[j] != m_[j]) {
+          ge = t[j] > m_[j];
+          break;
+        }
+      }
+    }
+    if (ge) {
+      std::uint64_t borrow = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const Wide diff = Wide(t[j]) - m_[j] - borrow;
+        t[j] = static_cast<std::uint64_t>(diff);
+        borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+      }
+    }
+    out.assign(t, t + n);
+  }
+
+  /// base^e in Montgomery form, for base in Montgomery form. A fixed 4-bit
+  /// window multiplies by table[digit] on every window (table[0] = R), so
+  /// the sequence of operations depends only on e's bit length.
+  Words pow(const Words& base, const Bignum& e) {
+    const std::size_t windows = (e.bit_length() + 3) / 4;
+    if (windows == 0) return one_;
+    table_[0] = one_;
+    table_[1] = base;
+    for (std::size_t k = 2; k < table_.size(); ++k)
+      mul(table_[k], table_[k - 1], base);
+    // 4-bit windows never straddle a 32-bit limb.
+    const auto digit = [&](std::size_t w) {
+      return (e.limbs_[w / 8] >> (4 * (w % 8))) & 0xF;
+    };
+    Words acc = table_[digit(windows - 1)];
+    for (std::size_t w = windows - 1; w-- > 0;) {
+      for (int i = 0; i < 4; ++i) mul(acc, acc, acc);
+      mul(acc, acc, table_[digit(w)]);
+    }
+    return acc;
+  }
+
+ private:
+  // The low `words` 64-bit words of x (x < 2^(64*words)).
+  static Words pack(const Bignum& x, std::size_t words) {
+    Words out(words, 0);
+    for (std::size_t i = 0; i < x.limbs_.size(); ++i)
+      out[i / 2] |= std::uint64_t(x.limbs_[i]) << (32 * (i % 2));
+    return out;
+  }
+
+  Bignum modulus_;
+  Words m_;                 // the modulus, packed
+  std::uint64_t m_inv_{};   // -m^-1 mod 2^64
+  Words one_;               // R mod m
+  Words r2_;                // R^2 mod m, for to_mont
+  Words t_;                 // CIOS accumulator, n + 2 words
+  std::vector<Words> table_;  // pow's window table, base^0..base^15
+};
+
 Bignum Bignum::powmod(const Bignum& exponent, const Bignum& m) const {
   if (m.is_zero()) throw Error("Bignum powmod with zero modulus");
   if (m == Bignum(1)) return Bignum();
+  if (m.is_odd()) {
+    Montgomery mont(m);
+    return mont.from_mont(mont.pow(mont.to_mont(*this), exponent));
+  }
+  // Montgomery form needs an odd modulus; even ones take plain
+  // square-and-multiply.
   Bignum result(1);
   Bignum base = *this % m;
   const std::size_t bits = exponent.bit_length();
@@ -365,12 +512,17 @@ bool Bignum::is_probable_prime(HmacDrbg& drbg, int rounds) const {
     ++s;
   }
 
+  // Every witness runs in Montgomery form modulo this (odd) n, where 1 and
+  // n-1 have fixed representations.
+  Montgomery mont(*this);
+  const Montgomery::Words one = mont.one();
+  const Montgomery::Words minus_one = mont.to_mont(n_minus_1);
   auto witness = [&](const Bignum& a) {
-    Bignum x = a.powmod(d, *this);
-    if (x == Bignum(1) || x == n_minus_1) return false;  // not a witness
+    Montgomery::Words x = mont.pow(mont.to_mont(a), d);
+    if (x == one || x == minus_one) return false;  // not a witness
     for (std::size_t i = 1; i < s; ++i) {
-      x = x.mulmod(x, *this);
-      if (x == n_minus_1) return false;
+      mont.mul(x, x, x);
+      if (x == minus_one) return false;
     }
     return true;  // composite witnessed
   };

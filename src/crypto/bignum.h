@@ -3,7 +3,9 @@
 // Backs the RSA signatures used for attestation quotes and vendor
 // certificate chains, and the finite-field Diffie-Hellman key exchange of
 // net::SecureChannel. Little-endian 32-bit limbs, 64-bit intermediates;
-// division is Knuth Algorithm D.
+// division is Knuth Algorithm D. powmod with an odd modulus (every RSA and
+// DH modulus) and the Miller-Rabin test run in Montgomery form: 64-bit
+// words, CIOS multiplication and a fixed 4-bit window.
 #pragma once
 
 #include <compare>
@@ -69,7 +71,8 @@ class Bignum {
   /// (this * rhs) mod m.
   Bignum mulmod(const Bignum& rhs, const Bignum& m) const;
 
-  /// this^exponent mod m (square-and-multiply). m must be nonzero.
+  /// this^exponent mod m. m must be nonzero. An odd m uses Montgomery
+  /// form with a fixed 4-bit window; an even m, square-and-multiply.
   Bignum powmod(const Bignum& exponent, const Bignum& m) const;
 
   /// Greatest common divisor.
@@ -92,6 +95,8 @@ class Bignum {
   static Bignum generate_prime(HmacDrbg& drbg, std::size_t bits);
 
  private:
+  class Montgomery;  // odd-modulus exponentiation context (bignum.cpp)
+
   void trim();
   static Bignum from_limbs(std::vector<std::uint32_t> limbs);
 

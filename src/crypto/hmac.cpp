@@ -12,7 +12,7 @@ std::array<std::uint8_t, 64> normalize_key(BytesView key) {
   if (key.size() > 64) {
     const Digest d = Sha256::hash(key);
     std::memcpy(block.data(), d.data(), d.size());
-  } else {
+  } else if (!key.empty()) {  // an empty view may hold a null pointer
     std::memcpy(block.data(), key.data(), key.size());
   }
   return block;

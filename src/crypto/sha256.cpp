@@ -77,6 +77,7 @@ void Sha256::compress(const std::uint8_t* block) {
 
 void Sha256::update(BytesView data) {
   if (finished_) throw Error("Sha256::update after finish");
+  if (data.empty()) return;  // an empty view may hold a null pointer
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

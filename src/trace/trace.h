@@ -173,10 +173,9 @@ struct SpanEvent {
   /// Record the opcode (always) and, when `capture` says the component
   /// opted in, the leading payload bytes.
   void note_payload(BytesView data, bool capture) {
-    opcode = 0;
-    for (std::size_t i = 0; i < 4 && i < data.size(); ++i)
-      opcode = (opcode << 8) | data[i];
-    opcode <<= 8 * (4 - (data.size() < 4 ? data.size() : 4));
+    opcode = 0;  // short payloads are zero-padded on the right
+    for (std::size_t i = 0; i < 4; ++i)
+      opcode = (opcode << 8) | (i < data.size() ? data[i] : 0u);
     if (!capture) return;
     payload_len = static_cast<std::uint8_t>(
         data.size() < kCaptureBytes ? data.size() : kCaptureBytes);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "crypto/bignum.h"
+#include "crypto/dh.h"
 #include "crypto/hmac.h"
+#include "crypto/rsa.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace lateral::crypto {
@@ -13,6 +16,20 @@ namespace {
 Bignum rand_bignum(util::Xoshiro& rng, std::size_t max_bytes) {
   return Bignum::from_bytes(rng.bytes(1 + rng.below(max_bytes)));
 }
+
+// Reference for powmod: right-to-left square-and-multiply over mulmod
+// (schoolbook product, Knuth D remainder), independent of Montgomery form.
+Bignum ref_powmod(const Bignum& base, const Bignum& e, const Bignum& m) {
+  Bignum result = Bignum(1) % m;
+  Bignum b = base % m;
+  for (std::size_t i = 0; i < e.bit_length(); ++i) {
+    if (e.bit(i)) result = result.mulmod(b, m);
+    b = b.mulmod(b, m);
+  }
+  return result;
+}
+
+Bignum all_ones(std::size_t bits) { return (Bignum(1) << bits) - Bignum(1); }
 
 TEST(Bignum, ZeroProperties) {
   const Bignum zero;
@@ -190,6 +207,153 @@ TEST(Bignum, PowModFermat) {
     const Bignum a(2 + rng.below(1000000));
     EXPECT_EQ(a.powmod(p - Bignum(1), p), Bignum(1));
   }
+}
+
+// Odd moduli take the Montgomery path; these are its boundary shapes.
+std::vector<Bignum> odd_edge_moduli() {
+  util::Xoshiro rng(7);
+  std::vector<Bignum> moduli = {Bignum(3), Bignum(0xFFFFFFFFULL),
+                                Bignum(0xFFFFFFFFFFFFFFFFULL)};
+  // 2^k - 1, across the 32- and 64-bit word boundaries.
+  for (const std::size_t k : {2u, 5u, 31u, 33u, 63u, 65u, 96u, 127u, 128u,
+                              129u, 521u})
+    moduli.push_back(all_ones(k));
+  // Top 64-bit word exactly 1: an odd limb count whose top limb is 1.
+  for (const std::size_t words : {1u, 2u, 5u}) {
+    const Bignum top = Bignum(1) << (64 * words);
+    moduli.push_back(top + Bignum(1));
+    Bignum low = Bignum::from_bytes(rng.bytes(8 * words));
+    if (!low.is_odd()) low = low + Bignum(1);
+    moduli.push_back(top + low);
+  }
+  // Random odd moduli of 1, 3, 8 and 17 32-bit limbs.
+  for (const std::size_t limbs : {1u, 3u, 8u, 17u}) {
+    Bytes raw = rng.bytes(4 * limbs);
+    raw.front() |= 0x80;
+    raw.back() |= 1;
+    moduli.push_back(Bignum::from_bytes(raw));
+  }
+  return moduli;
+}
+
+TEST(Bignum, PowModEdgeBasesAndExponents) {
+  util::Xoshiro rng(8);
+  for (const Bignum& m : odd_edge_moduli()) {
+    const std::size_t bits = m.bit_length();
+    const Bignum bases[] = {Bignum(),
+                            Bignum(1),
+                            m - Bignum(1),
+                            m,
+                            m + Bignum(1),
+                            m * m * Bignum(7) + Bignum(5),
+                            Bignum(1) << (3 * bits)};
+    const Bignum exponents[] = {
+        Bignum(),
+        Bignum(1),
+        Bignum(2),
+        Bignum(65537),
+        all_ones(64),
+        all_ones(bits),
+        Bignum::from_bytes(rng.bytes(2 * ((bits + 7) / 8) + 3))};
+    for (const Bignum& base : bases) {
+      for (const Bignum& e : exponents) {
+        EXPECT_EQ(base.powmod(e, m), ref_powmod(base, e, m))
+            << "m=" << m.to_hex() << " base=" << base.to_hex()
+            << " e=" << e.to_hex();
+      }
+    }
+    EXPECT_EQ(Bignum().powmod(Bignum(), m), Bignum(1));
+    EXPECT_EQ((m - Bignum(1)).powmod(Bignum(2), m), Bignum(1));
+    EXPECT_EQ((m - Bignum(1)).powmod(Bignum(65537), m), m - Bignum(1));
+  }
+}
+
+// Seeded random odd moduli of every size from 1 to 40 32-bit limbs; odd
+// limb counts leave the top 64-bit word half empty.
+TEST(Bignum, PowModMatchesMulmodChainAtEverySize) {
+  util::Xoshiro rng(15);
+  for (std::size_t limbs = 1; limbs <= 40; ++limbs) {
+    Bytes raw = rng.bytes(4 * limbs);
+    raw.front() |= 1;  // exactly `limbs` limbs
+    raw.back() |= 1;   // odd
+    const Bignum m = Bignum::from_bytes(raw);
+    for (int trial = 0; trial < 2; ++trial) {
+      const Bignum base = Bignum::from_bytes(rng.bytes(1 + rng.below(8 * limbs)));
+      const Bignum e = Bignum::from_bytes(rng.bytes(1 + rng.below(4 * limbs + 8)));
+      EXPECT_EQ(base.powmod(e, m), ref_powmod(base, e, m))
+          << "limbs=" << limbs << " m=" << m.to_hex();
+    }
+  }
+}
+
+TEST(Bignum, PowModEvenModuli) {
+  // Even moduli keep the plain square-and-multiply loop.
+  util::Xoshiro rng(9);
+  EXPECT_EQ(Bignum(3).powmod(Bignum(5), Bignum(2)), Bignum(1));
+  EXPECT_EQ(Bignum(3).powmod(Bignum(4), Bignum(1) << 64), Bignum(81));
+  EXPECT_EQ(Bignum(2).powmod(Bignum(64), Bignum(1) << 64), Bignum());
+  for (int i = 0; i < 40; ++i) {
+    Bignum m = rand_bignum(rng, 24) + Bignum(2);
+    if (m.is_odd()) m = m + Bignum(1);
+    const Bignum base = rand_bignum(rng, 48);
+    const Bignum e = rand_bignum(rng, 24);
+    EXPECT_EQ(base.powmod(e, m), ref_powmod(base, e, m)) << m.to_hex();
+  }
+}
+
+TEST(Bignum, MillerRabinMatchesTrialDivision) {
+  HmacDrbg drbg(to_bytes("mr-sweep"));
+  const auto is_prime = [](std::uint64_t n) {
+    if (n < 2) return false;
+    for (std::uint64_t f = 2; f * f <= n; ++f)
+      if (n % f == 0) return false;
+    return true;
+  };
+  for (std::uint64_t n = 1; n < 2500; n += 2)
+    EXPECT_EQ(Bignum(n).is_probable_prime(drbg, 3), is_prime(n)) << n;
+  // Strong pseudoprimes to base 2: the fixed base-2 round passes them, so
+  // the random rounds must catch them.
+  for (const std::uint64_t n : {2047ULL, 3277ULL, 4033ULL, 4681ULL, 8321ULL,
+                                3215031751ULL})
+    EXPECT_FALSE(Bignum(n).is_probable_prime(drbg)) << n;
+  // Mersenne primes across word boundaries, and a composite neighbour.
+  for (const std::size_t k : {31u, 61u, 89u, 127u, 521u}) {
+    EXPECT_TRUE(all_ones(k).is_probable_prime(drbg)) << k;
+    // 2^k + 1 is divisible by 3 for odd k.
+    EXPECT_FALSE((all_ones(k) + Bignum(2)).is_probable_prime(drbg)) << k;
+  }
+}
+
+// Known answers from fixed DRBG seeds, recorded before powmod moved to
+// Montgomery form: key generation (Miller-Rabin), RSA signing and Oakley-1
+// DH must reproduce them bit for bit.
+TEST(Bignum, GoldenRsa512Signature) {
+  HmacDrbg drbg(to_bytes("golden-rsa-512"));
+  const RsaKeyPair key = RsaKeyPair::generate(drbg, 512);
+  EXPECT_EQ(key.pub.n.to_hex(),
+            "dc5439387c0efc95272104fa7e095c0fb5c3bdcae77c973fb4a28b48d415d81b"
+            "1ad3601c47602a0e1f9b48d5dcdc4885b1f12c91201ab995832ce9fd0c8b80cd");
+  const Bytes sig = rsa_sign(key, to_bytes("lateral golden vector"));
+  EXPECT_EQ(util::to_hex(sig),
+            "27e71d488c903cafd9cc831c890929e67ad6a81d683faee36b181fbc56bc5025"
+            "2845254919390ed28f623e8502fa1bda73da09f7238d4bfb1ab91f940209e430");
+  EXPECT_TRUE(rsa_verify(key.pub, to_bytes("lateral golden vector"), sig).ok());
+}
+
+TEST(Bignum, GoldenOakley1SharedSecret) {
+  HmacDrbg drbg(to_bytes("golden-oakley1"));
+  const DhGroup& group = DhGroup::oakley1();
+  const DhKeyPair a = DhKeyPair::generate(group, drbg);
+  const DhKeyPair b = DhKeyPair::generate(group, drbg);
+  const auto ab = dh_shared_secret(group, a.private_key, b.public_key);
+  const auto ba = dh_shared_secret(group, b.private_key, a.public_key);
+  ASSERT_TRUE(ab.ok());
+  ASSERT_TRUE(ba.ok());
+  EXPECT_EQ(*ab, *ba);
+  EXPECT_EQ(util::to_hex(*ab),
+            "a1454c2637ad0254e5bc95a15516b6a86a7c48dbd48fc2b5019cdad036b1babd"
+            "de5959c4bccefc93d16d260381c0f7009b28b66bc66cd7ca47d6010c9905e24e"
+            "03f1f007236f37423c7baa5a779e9cb6c7997f1581bc4b7f149127bcf1da3958");
 }
 
 TEST(Bignum, GcdKnown) {

@@ -59,6 +59,14 @@ TEST(Hmac, DifferentKeysDifferentMacs) {
             hmac_sha256(to_bytes("k2"), to_bytes("m")));
 }
 
+TEST(Hmac, EmptyKeyEqualsZeroBlockKey) {
+  // Keys shorter than a block are zero-padded, so an empty key is 64 zero
+  // bytes.
+  EXPECT_EQ(hmac_sha256({}, to_bytes("m")),
+            hmac_sha256(Bytes(64, 0), to_bytes("m")));
+  EXPECT_EQ(hmac_sha256({}, {}), hmac_sha256(Bytes(64, 0), {}));
+}
+
 // RFC 5869 test case 1.
 TEST(Hkdf, Rfc5869Case1) {
   const Bytes ikm(22, 0x0b);

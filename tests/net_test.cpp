@@ -440,7 +440,7 @@ TEST_F(RemoteRpcTest, LyingMethodLengthRefused) {
 
 TEST_F(RemoteRpcTest, TruncatedSealedRecordRefused) {
   auto record = client_->seal_record(
-      to_bytes(std::string("\x00\x04echopayload", 13)));
+      to_bytes(std::string("\x00\x04" "echopayload", 13)));
   ASSERT_TRUE(record.ok());
   // Losing the last byte leaves a parseable record with a broken MAC.
   Bytes clipped(*record);
@@ -456,7 +456,7 @@ TEST_F(RemoteRpcTest, TruncatedSealedRecordRefused) {
 
 TEST_F(RemoteRpcTest, ReplayedRequestRecordRefused) {
   auto record =
-      client_->seal_record(to_bytes(std::string("\x00\x04echoonce", 10)));
+      client_->seal_record(to_bytes(std::string("\x00\x04" "echoonce", 10)));
   ASSERT_TRUE(record.ok());
   ASSERT_TRUE(dispatcher_->handle(*record).ok());
   // An attacker replaying the captured request record gets a channel-level

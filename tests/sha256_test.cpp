@@ -16,6 +16,16 @@ TEST(Sha256, EmptyInput) {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
+TEST(Sha256, EmptyUpdatesAreNoOps) {
+  // Empty views (which may carry a null pointer) at a block boundary and
+  // mid-block leave the digest unchanged.
+  Sha256 ctx;
+  ctx.update({});
+  ctx.update(to_bytes("abc"));
+  ctx.update({});
+  EXPECT_EQ(ctx.finish(), Sha256::hash(to_bytes("abc")));
+}
+
 TEST(Sha256, Abc) {
   EXPECT_EQ(hex_of(Sha256::hash(to_bytes("abc"))),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");

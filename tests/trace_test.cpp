@@ -57,6 +57,20 @@ TEST(SpanEventTest, OpcodeIsLeftAlignedAndNeedsNoConsent) {
   EXPECT_EQ(short_op.opcode, 0x4f4b'0000u);  // left-aligned, zero-padded
 }
 
+TEST(SpanEventTest, EmptyAndShortPayloadsZeroPadTheOpcode) {
+  SpanEvent empty;
+  empty.note_payload({}, /*capture=*/true);
+  EXPECT_EQ(empty.opcode, 0u);
+  EXPECT_EQ(empty.payload_len, 0u);
+
+  SpanEvent one;
+  one.note_payload(to_bytes("X"), /*capture=*/false);
+  EXPECT_EQ(one.opcode, 0x5800'0000u);
+  SpanEvent three;
+  three.note_payload(to_bytes("ABC"), /*capture=*/false);
+  EXPECT_EQ(three.opcode, 0x4142'4300u);
+}
+
 TEST(SpanEventTest, PayloadCaptureIsBoundedAndOptIn) {
   SpanEvent event;
   const Bytes data = to_bytes("a-message-longer-than-sixteen-bytes");
