@@ -2,7 +2,11 @@
 
 #include <cstring>
 
-#include "crypto/hmac.h"
+#include "crypto/kernels.h"
+
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace lateral::crypto {
 namespace {
@@ -48,35 +52,41 @@ std::uint32_t sub_word(std::uint32_t w) {
 
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
-}  // namespace
-
-Aes128::Aes128(const Aes128Key& key) {
-  for (int i = 0; i < 4; ++i) {
-    round_keys_[i] = (std::uint32_t(key[4 * i]) << 24) |
-                     (std::uint32_t(key[4 * i + 1]) << 16) |
-                     (std::uint32_t(key[4 * i + 2]) << 8) |
-                     std::uint32_t(key[4 * i + 3]);
-  }
-  for (int i = 4; i < 44; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
-    if (i % 4 == 0)
-      temp = sub_word(rot_word(temp)) ^ (std::uint32_t(kRcon[i / 4 - 1]) << 24);
-    round_keys_[i] = round_keys_[i - 4] ^ temp;
-  }
+BytesView enc_mac_material(BytesView keys) {
+  if (keys.size() != 48) throw Error("EncMacKeys: keys must be 48 bytes");
+  return keys;
 }
 
-void Aes128::encrypt_block(AesBlock& block) const {
+}  // namespace
+
+namespace kernels {
+
+void aes128_expand_key(const std::uint8_t key[16],
+                       std::uint8_t round_keys[176]) {
+  std::uint32_t w[44];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = (std::uint32_t(key[4 * i]) << 24) |
+           (std::uint32_t(key[4 * i + 1]) << 16) |
+           (std::uint32_t(key[4 * i + 2]) << 8) | std::uint32_t(key[4 * i + 3]);
+  }
+  for (int i = 4; i < 44; ++i) {
+    std::uint32_t temp = w[i - 1];
+    if (i % 4 == 0)
+      temp = sub_word(rot_word(temp)) ^ (std::uint32_t(kRcon[i / 4 - 1]) << 24);
+    w[i] = w[i - 4] ^ temp;
+  }
+  for (int i = 0; i < 44; ++i)
+    for (int j = 0; j < 4; ++j)
+      round_keys[4 * i + j] = static_cast<std::uint8_t>(w[i] >> (24 - 8 * j));
+}
+
+void aes128_portable(const std::uint8_t round_keys[176],
+                     std::uint8_t block[16]) {
   std::uint8_t s[16];
-  std::memcpy(s, block.data(), 16);
+  std::memcpy(s, block, 16);
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t rk = round_keys_[4 * round + c];
-      s[4 * c] ^= static_cast<std::uint8_t>(rk >> 24);
-      s[4 * c + 1] ^= static_cast<std::uint8_t>(rk >> 16);
-      s[4 * c + 2] ^= static_cast<std::uint8_t>(rk >> 8);
-      s[4 * c + 3] ^= static_cast<std::uint8_t>(rk);
-    }
+    for (int i = 0; i < 16; ++i) s[i] ^= round_keys[16 * round + i];
   };
   auto sub_bytes = [&] {
     for (auto& b : s) b = kSbox[b];
@@ -109,11 +119,60 @@ void Aes128::encrypt_block(AesBlock& block) const {
   shift_rows();
   add_round_key(10);
 
-  std::memcpy(block.data(), s, 16);
+  std::memcpy(block, s, 16);
 }
 
-Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data) {
-  const Aes128 cipher(key);
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+
+bool cpu_has_aes_ni() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes");
+}
+
+// AES-NI: aesenc is one full round (SubBytes, ShiftRows, MixColumns,
+// AddRoundKey) on the FIPS 197 state layout, so the byte-order schedule
+// loads as-is.
+__attribute__((target("aes"))) void aes128_aesni(
+    const std::uint8_t round_keys[176], std::uint8_t block[16]) {
+  auto key = [&](int round) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_keys + 16 * round));
+  };
+  __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block));
+  s = _mm_xor_si128(s, key(0));
+  for (int round = 1; round < 10; ++round) s = _mm_aesenc_si128(s, key(round));
+  s = _mm_aesenclast_si128(s, key(10));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block), s);
+}
+
+#endif  // LATERAL_X86_CRYPTO_KERNELS
+
+}  // namespace kernels
+
+namespace {
+
+kernels::Aes128Kernel aes128_kernel() {
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+  static const kernels::Aes128Kernel kernel = kernels::cpu_has_aes_ni()
+                                                  ? kernels::aes128_aesni
+                                                  : kernels::aes128_portable;
+  return kernel;
+#else
+  return kernels::aes128_portable;
+#endif
+}
+
+}  // namespace
+
+Aes128::Aes128(const Aes128Key& key) {
+  kernels::aes128_expand_key(key.data(), round_keys_.data());
+}
+
+void Aes128::encrypt_block(AesBlock& block) const {
+  aes128_kernel()(round_keys_.data(), block.data());
+}
+
+Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data) {
   Bytes out(data.begin(), data.end());
   AesBlock counter_block{};
   for (int i = 0; i < 8; ++i)
@@ -132,17 +191,21 @@ Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data) {
   return out;
 }
 
-Aead::Aead(BytesView key_material) {
-  const Bytes keys = hkdf(to_bytes("lateral.aead.v1"), key_material,
-                          to_bytes("enc+mac"), 48);
-  std::memcpy(enc_key_.data(), keys.data(), 16);
-  mac_key_.assign(keys.begin() + 16, keys.end());
+Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data) {
+  return aes128_ctr(Aes128(key), nonce, data);
 }
+
+EncMacKeys::EncMacKeys(BytesView keys)
+    : cipher(*key_from_bytes(enc_mac_material(keys))), mac(keys.subspan(16)) {}
+
+Aead::Aead(BytesView key_material)
+    : keys_(hkdf(to_bytes("lateral.aead.v1"), key_material,
+                 to_bytes("enc+mac"), 48)) {}
 
 std::array<std::uint8_t, 16> Aead::compute_tag(std::uint64_t nonce,
                                                BytesView aad,
                                                BytesView ciphertext) const {
-  Hmac mac(mac_key_);
+  Hmac mac = keys_.mac;
   std::uint8_t nonce_be[8];
   for (int i = 0; i < 8; ++i)
     nonce_be[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
@@ -165,7 +228,7 @@ SealedBox Aead::seal(std::uint64_t nonce, BytesView aad,
                      BytesView plaintext) const {
   SealedBox box;
   box.nonce = nonce;
-  box.ciphertext = aes128_ctr(enc_key_, nonce, plaintext);
+  box.ciphertext = aes128_ctr(keys_.cipher, nonce, plaintext);
   box.tag = compute_tag(nonce, aad, box.ciphertext);
   return box;
 }
@@ -175,7 +238,7 @@ Result<Bytes> Aead::open(const SealedBox& box, BytesView aad) const {
   if (!ct_equal(BytesView(expected.data(), expected.size()),
                 BytesView(box.tag.data(), box.tag.size())))
     return Errc::verification_failed;
-  return aes128_ctr(enc_key_, box.nonce, box.ciphertext);
+  return aes128_ctr(keys_.cipher, box.nonce, box.ciphertext);
 }
 
 Result<Aes128Key> key_from_bytes(BytesView material) {

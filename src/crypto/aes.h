@@ -2,11 +2,14 @@
 // authenticated encryption construction (AES-128-CTR + HMAC-SHA256).
 //
 // This is the memory-encryption engine of the simulated SGX/SEP substrates
-// and the record protection of net::SecureChannel and vpfs.
+// and the record protection of net::SecureChannel and vpfs. Blocks are
+// encrypted with AES-NI when the CPU has it, else with the portable
+// reference (crypto/kernels.h); the ciphertext is the same either way.
 #pragma once
 
 #include <array>
 
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "util/result.h"
 #include "util/types.h"
@@ -25,13 +28,28 @@ class Aes128 {
   void encrypt_block(AesBlock& block) const;
 
  private:
-  std::array<std::uint32_t, 44> round_keys_;
+  /// The expanded key in FIPS 197 byte order, read by both kernels.
+  alignas(16) std::array<std::uint8_t, 176> round_keys_;
 };
 
 /// AES-128-CTR keystream transform. Encryption and decryption are identical.
 /// `nonce` occupies the first 8 bytes of the counter block; the remaining
 /// 8 bytes are a big-endian block counter starting at 0.
+Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data);
+
+/// As above, expanding `key` for this one call.
 Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data);
+
+/// A fixed encrypt-then-MAC key pair, keyed once: the AES-128 schedule of
+/// the first 16 bytes of `keys` and an HMAC-SHA256 keyed with the other 32.
+/// Holders copy `mac` per message instead of re-keying.
+struct EncMacKeys {
+  /// `keys` must be 48 bytes (the usual `hkdf(..., "enc+mac", 48)`).
+  explicit EncMacKeys(BytesView keys);
+
+  Aes128 cipher;
+  Hmac mac;
+};
 
 /// Authenticated encryption: AES-128-CTR under enc_key, then HMAC-SHA256 of
 /// (nonce || aad || ciphertext) under mac_key, truncated to 16 bytes.
@@ -55,8 +73,7 @@ class Aead {
  private:
   std::array<std::uint8_t, 16> compute_tag(std::uint64_t nonce, BytesView aad,
                                            BytesView ciphertext) const;
-  Aes128Key enc_key_;
-  Bytes mac_key_;
+  EncMacKeys keys_;
 };
 
 /// Helper: build an Aes128Key from the first 16 bytes of a buffer.

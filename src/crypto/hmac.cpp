@@ -22,22 +22,20 @@ std::array<std::uint8_t, 64> normalize_key(BytesView key) {
 
 Hmac::Hmac(BytesView key) {
   const auto block = normalize_key(key);
-  std::array<std::uint8_t, 64> ipad;
+  std::array<std::uint8_t, 64> ipad, opad;
   for (int i = 0; i < 64; ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad_key_[i] = block[i] ^ 0x5c;
+    opad[i] = block[i] ^ 0x5c;
   }
   inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
 }
 
 void Hmac::update(BytesView data) { inner_.update(data); }
 
 Digest Hmac::finish() {
-  const Digest inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(BytesView(opad_key_.data(), opad_key_.size()));
-  outer.update(digest_view(inner_digest));
-  return outer.finish();
+  outer_.update(digest_view(inner_.finish()));
+  return outer_.finish();
 }
 
 Digest hmac_sha256(BytesView key, BytesView message) {
@@ -54,10 +52,11 @@ Bytes hkdf_expand(const Digest& prk, BytesView info, std::size_t length) {
   if (length > 255 * 32) throw Error("hkdf_expand: length too large");
   Bytes out;
   out.reserve(length);
+  const Hmac keyed(digest_view(prk));
   Bytes t;
   std::uint8_t counter = 1;
   while (out.size() < length) {
-    Hmac ctx(digest_view(prk));
+    Hmac ctx = keyed;
     ctx.update(t);
     ctx.update(info);
     ctx.update(BytesView(&counter, 1));

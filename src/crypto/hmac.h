@@ -13,7 +13,9 @@ namespace lateral::crypto {
 /// One-shot HMAC-SHA256.
 Digest hmac_sha256(BytesView key, BytesView message);
 
-/// Incremental HMAC context.
+/// Incremental HMAC context. A keyed context holds both midstates (the
+/// ipad and opad blocks already absorbed), so copying one before `update`
+/// authenticates another message under the same key without re-keying.
 class Hmac {
  public:
   explicit Hmac(BytesView key);
@@ -22,7 +24,7 @@ class Hmac {
 
  private:
   Sha256 inner_;
-  std::array<std::uint8_t, 64> opad_key_;
+  Sha256 outer_;
 };
 
 /// HKDF-Extract: PRK = HMAC(salt, ikm).

@@ -2,7 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/kernels.h"
 #include "util/result.h"
+
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace lateral::crypto {
 namespace {
@@ -24,55 +29,141 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
+namespace kernels {
+
+void sha256_portable(std::uint32_t state[8], const std::uint8_t* blocks,
+                     std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(blocks[4 * i]) << 24) |
+             (std::uint32_t(blocks[4 * i + 1]) << 16) |
+             (std::uint32_t(blocks[4 * i + 2]) << 8) |
+             std::uint32_t(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+
+bool cpu_has_sha_ni() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+// Intel SHA extensions. The state lives in two registers as ABEF and CDGH;
+// each group of four rounds adds K to four message words, runs two
+// sha256rnds2, and advances the message schedule four words with
+// sha256msg1/sha256msg2 (FIPS 180-4 §6.2.2 step 1, four words at a time).
+__attribute__((target("sha,sse4.1"))) void sha256_shani(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t count) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4] = {};  // message words 4i..4i+3 of group i, at i % 4
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4)
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            byteswap);
+      __m128i msg = _mm_add_epi32(
+          w[i % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      if (i >= 3 && i <= 14) {
+        __m128i& next = w[(i + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[i % 4], w[(i + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w[i % 4]);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+      if (i >= 1 && i <= 12)
+        w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], w[i % 4]);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // LATERAL_X86_CRYPTO_KERNELS
+
+}  // namespace kernels
+
+namespace {
+
+kernels::Sha256Kernel sha256_kernel() {
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+  static const kernels::Sha256Kernel kernel = kernels::cpu_has_sha_ni()
+                                                  ? kernels::sha256_shani
+                                                  : kernels::sha256_portable;
+  return kernel;
+#else
+  return kernels::sha256_portable;
+#endif
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
       buffer_{} {}
 
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
+  sha256_kernel()(state_.data(), blocks, count);
 }
 
 void Sha256::update(BytesView data) {
@@ -85,37 +176,32 @@ void Sha256::update(BytesView data) {
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset += take;
-    if (buffer_len_ == 64) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    compress(data.data() + offset);
-    offset += 64;
-  }
-  if (offset < data.size()) {
-    buffer_len_ = data.size() - offset;
-    std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
-  }
+  const std::size_t full = (data.size() - offset) / 64;
+  compress(data.data() + offset, full);
+  offset += 64 * full;
+  buffer_len_ = data.size() - offset;
+  std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
 }
 
 Digest Sha256::finish() {
   if (finished_) throw Error("Sha256::finish called twice");
   finished_ = true;
 
+  // The buffered tail, 0x80, zeros to 56 mod 64, then the 64-bit big-endian
+  // bit length: one block when the tail leaves room for 9 bytes, else two.
+  std::uint8_t last[128] = {};
+  std::memcpy(last, buffer_.data(), buffer_len_);
+  last[buffer_len_] = 0x80;
+  const std::size_t blocks = buffer_len_ < 56 ? 1 : 2;
   const std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  // Pad to 56 mod 64, then the 64-bit big-endian length.
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  finished_ = false;  // allow the two update() calls below
-  update(BytesView(pad, pad_len));
-  std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(BytesView(len_be, 8));
-  finished_ = true;
+    last[64 * blocks - 8 + i] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(last, blocks);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,8 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
+// The compression function runs on SHA-NI when the CPU has it, else on the
+// portable reference (crypto/kernels.h); the digest is the same either way.
+//
 // Used throughout lateral for measurements (MRENCLAVE-style code hashes),
 // TPM PCR extension, Merkle trees, HMAC and signature padding.
 #pragma once
@@ -32,7 +35,7 @@ class Sha256 {
   static Digest hash2(BytesView a, BytesView b);
 
  private:
-  void compress(const std::uint8_t* block);
+  void compress(const std::uint8_t* blocks, std::size_t count);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;

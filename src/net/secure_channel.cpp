@@ -22,6 +22,10 @@ Result<Bytes> read_blob(BytesView wire, std::size_t& offset) {
   return out;
 }
 
+// Record AAD per direction, so a record cannot be reflected to its sender.
+const Bytes kI2rAad = to_bytes("i2r");
+const Bytes kR2iAad = to_bytes("r2i");
+
 }  // namespace
 
 Bytes handshake_context(BytesView dh_i_wire, BytesView dh_r_wire) {
@@ -212,8 +216,8 @@ Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext) {
   const std::uint64_t nonce =
       (send_seq_ << 1) | (role_ == Role::responder ? 1 : 0);
   ++send_seq_;
-  const Bytes aad = to_bytes(role_ == Role::initiator ? "i2r" : "r2i");
-  const crypto::SealedBox box = aead_->seal(nonce, aad, plaintext);
+  const crypto::SealedBox box = aead_->seal(
+      nonce, role_ == Role::initiator ? kI2rAad : kR2iAad, plaintext);
 
   Bytes wire;
   for (int i = 7; i >= 0; --i)
@@ -238,8 +242,8 @@ Result<Bytes> SecureChannelEndpoint::open_record(BytesView wire) {
       (recv_seq_ << 1) | (role_ == Role::initiator ? 1 : 0);
   if (box.nonce != expected_nonce) return Errc::verification_failed;
 
-  const Bytes aad = to_bytes(role_ == Role::initiator ? "r2i" : "i2r");
-  auto plain = aead_->open(box, aad);
+  auto plain =
+      aead_->open(box, role_ == Role::initiator ? kR2iAad : kI2rAad);
   if (!plain) return Errc::verification_failed;
   ++recv_seq_;
   return std::move(*plain);

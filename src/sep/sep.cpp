@@ -10,7 +10,11 @@ using substrate::DomainKind;
 using substrate::Feature;
 
 Sep::Sep(hw::Machine& machine, substrate::SubstrateConfig config)
-    : IsolationSubstrate(machine, std::move(config)), frames_(machine.dram()) {
+    : IsolationSubstrate(machine, std::move(config)),
+      frames_(machine.dram()),
+      inline_(crypto::hkdf(to_bytes("sep.inline.v1"),
+                           machine.fuses().device_key(), to_bytes("enc+mac"),
+                           48)) {
   info_.name = "sep";
   info_.features = Feature::spatial_isolation | Feature::legacy_hosting |
                    Feature::memory_encryption | Feature::sealed_storage |
@@ -20,13 +24,6 @@ Sep::Sep(hw::Machine& machine, substrate::SubstrateConfig config)
   info_.defends_against = {AttackerModel::remote_network,
                            AttackerModel::local_software,
                            AttackerModel::physical_bus};
-
-  Bytes fuse_key(machine_.fuses().device_key().begin(),
-                 machine_.fuses().device_key().end());
-  const Bytes material = crypto::hkdf(to_bytes("sep.inline.v1"), fuse_key,
-                                      to_bytes("enc+mac"), 48);
-  std::copy(material.begin(), material.begin() + 16, inline_key_.begin());
-  inline_mac_key_.assign(material.begin() + 16, material.end());
 }
 
 const substrate::SubstrateInfo& Sep::info() const { return info_; }
@@ -44,12 +41,12 @@ Status Sep::admit_domain(const substrate::DomainSpec& spec) const {
 Bytes Sep::inline_crypt(hw::PhysAddr page_addr, std::uint64_t version,
                         BytesView data) const {
   const std::uint64_t nonce = page_addr ^ (version << 20) ^ 0x5E90ULL << 48;
-  return crypto::aes128_ctr(inline_key_, nonce, data);
+  return crypto::aes128_ctr(inline_.cipher, nonce, data);
 }
 
 crypto::Digest Sep::inline_mac(hw::PhysAddr page_addr, std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac(inline_mac_key_);
+  crypto::Hmac mac = inline_.mac;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

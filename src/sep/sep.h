@@ -81,8 +81,7 @@ class Sep final : public substrate::IsolationSubstrate {
   std::map<substrate::DomainId, SepSpace> spaces_;
   std::size_t trusted_count_ = 0;
   std::size_t legacy_count_ = 0;
-  crypto::Aes128Key inline_key_{};
-  Bytes inline_mac_key_;
+  crypto::EncMacKeys inline_;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

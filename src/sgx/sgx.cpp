@@ -10,7 +10,11 @@ using substrate::DomainKind;
 using substrate::Feature;
 
 Sgx::Sgx(hw::Machine& machine, substrate::SubstrateConfig config)
-    : IsolationSubstrate(machine, std::move(config)), frames_(machine.dram()) {
+    : IsolationSubstrate(machine, std::move(config)),
+      frames_(machine.dram()),
+      // MEE keys derive from the device fuses; they never leave the die.
+      mee_(crypto::hkdf(to_bytes("sgx.mee.v1"), machine.fuses().device_key(),
+                        to_bytes("enc+mac"), 48)) {
   info_.name = "sgx";
   info_.features = Feature::spatial_isolation | Feature::concurrent_domains |
                    Feature::legacy_hosting | Feature::memory_encryption |
@@ -22,14 +26,6 @@ Sgx::Sgx(hw::Machine& machine, substrate::SubstrateConfig config)
   info_.defends_against = {AttackerModel::remote_network,
                            AttackerModel::local_software,
                            AttackerModel::physical_bus};
-
-  // MEE keys derive from the device fuses; they never leave the die.
-  Bytes fuse_key(machine_.fuses().device_key().begin(),
-                 machine_.fuses().device_key().end());
-  const Bytes material =
-      crypto::hkdf(to_bytes("sgx.mee.v1"), fuse_key, to_bytes("enc+mac"), 48);
-  std::copy(material.begin(), material.begin() + 16, mee_key_.begin());
-  mee_mac_key_.assign(material.begin() + 16, material.end());
 }
 
 const substrate::SubstrateInfo& Sgx::info() const { return info_; }
@@ -44,7 +40,7 @@ Bytes Sgx::mee_encrypt(hw::PhysAddr page_addr, std::uint64_t version,
   // Nonce binds page address and version so ciphertext cannot be replayed
   // across locations or points in time.
   const std::uint64_t nonce = page_addr ^ (version << 20);
-  return crypto::aes128_ctr(mee_key_, nonce, plaintext);
+  return crypto::aes128_ctr(mee_.cipher, nonce, plaintext);
 }
 
 Bytes Sgx::mee_decrypt(hw::PhysAddr page_addr, std::uint64_t version,
@@ -54,7 +50,7 @@ Bytes Sgx::mee_decrypt(hw::PhysAddr page_addr, std::uint64_t version,
 
 crypto::Digest Sgx::mee_mac(hw::PhysAddr page_addr, std::uint64_t version,
                             BytesView ciphertext) const {
-  crypto::Hmac mac(mee_mac_key_);
+  crypto::Hmac mac = mee_.mac;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

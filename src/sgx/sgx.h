@@ -119,8 +119,7 @@ class Sgx final : public substrate::IsolationSubstrate {
   substrate::SubstrateInfo info_;
   hw::FrameAllocator frames_;
   std::map<substrate::DomainId, EnclaveSpace> spaces_;
-  crypto::Aes128Key mee_key_{};
-  Bytes mee_mac_key_;
+  crypto::EncMacKeys mee_;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

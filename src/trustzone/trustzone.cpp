@@ -35,12 +35,9 @@ TrustZone::TrustZone(hw::Machine& machine, substrate::SubstrateConfig config,
     info_.features = info_.features | Feature::memory_encryption;
     info_.defends_against.push_back(AttackerModel::physical_bus);
     info_.tcb_loc += 2'000;
-    Bytes fuse_key(machine_.fuses().device_key().begin(),
-                   machine_.fuses().device_key().end());
-    const Bytes material = crypto::hkdf(to_bytes("tz.swmee.v1"), fuse_key,
-                                        to_bytes("enc+mac"), 48);
-    std::copy(material.begin(), material.begin() + 16, sw_mee_key_.begin());
-    sw_mee_mac_key_.assign(material.begin() + 16, material.end());
+    sw_mee_.emplace(crypto::hkdf(to_bytes("tz.swmee.v1"),
+                                 machine_.fuses().device_key(),
+                                 to_bytes("enc+mac"), 48));
   }
 }
 
@@ -59,13 +56,13 @@ Status TrustZone::admit_domain(const substrate::DomainSpec& spec) const {
 Bytes TrustZone::sw_mee_crypt(hw::PhysAddr page_addr, std::uint64_t version,
                               BytesView data) const {
   const std::uint64_t nonce = page_addr ^ (version << 20) ^ (0x72ULL << 56);
-  return crypto::aes128_ctr(sw_mee_key_, nonce, data);
+  return crypto::aes128_ctr(sw_mee_->cipher, nonce, data);
 }
 
 crypto::Digest TrustZone::sw_mee_mac(hw::PhysAddr page_addr,
                                      std::uint64_t version,
                                      BytesView ciphertext) const {
-  crypto::Hmac mac(sw_mee_mac_key_);
+  crypto::Hmac mac = sw_mee_->mac;
   std::uint8_t header[16];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));

@@ -27,6 +27,8 @@
 //    substrate to defend the physical_bus attacker model.
 #pragma once
 
+#include <optional>
+
 #include "crypto/aes.h"
 #include "hw/iommu.h"
 #include "substrate/registry.h"
@@ -126,8 +128,8 @@ class TrustZone final : public substrate::IsolationSubstrate {
   hw::FrameAllocator frames_;
   std::map<substrate::DomainId, WorldSpace> spaces_;
   std::size_t legacy_count_ = 0;
-  crypto::Aes128Key sw_mee_key_{};
-  Bytes sw_mee_mac_key_;
+  /// Keyed only with software_memory_encryption.
+  std::optional<crypto::EncMacKeys> sw_mee_;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

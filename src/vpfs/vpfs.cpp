@@ -53,7 +53,7 @@ std::uint64_t Vpfs::block_nonce(std::uint64_t file_id, std::size_t block,
 crypto::Digest Vpfs::block_mac(std::uint64_t file_id, std::size_t block,
                                std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac(mac_key_);
+  crypto::Hmac mac = keys_->mac;
   Bytes header;
   append_u64(header, file_id);
   append_u64(header, block);
@@ -128,7 +128,7 @@ Result<Bytes> Vpfs::load_block(const FileMeta& file, std::size_t block) const {
       0, substrate_.machine().costs().sw_aes_per_16_bytes, kVpfsBlockSize);
   substrate_.machine().charge(
       0, substrate_.machine().costs().sw_sha_per_64_bytes / 4, kVpfsBlockSize);
-  return crypto::aes128_ctr(enc_key_,
+  return crypto::aes128_ctr(keys_->cipher,
                             block_nonce(file.file_id, block, meta.version),
                             ciphertext);
 }
@@ -141,7 +141,7 @@ Status Vpfs::store_block(FileMeta& file, std::size_t block,
     meta.dirty = true;
   }
   const Bytes ciphertext = crypto::aes128_ctr(
-      enc_key_, block_nonce(file.file_id, block, meta.version), plaintext);
+      keys_->cipher, block_nonce(file.file_id, block, meta.version), plaintext);
   meta.mac = block_mac(file.file_id, block, meta.version, ciphertext);
   stats_.blocks_encrypted++;
   substrate_.machine().charge(
@@ -318,13 +318,13 @@ Bytes Vpfs::serialize_meta() const {
     }
   }
   // Encrypt the whole table: file names and shapes are confidential too.
-  return crypto::aes128_ctr(enc_key_, block_nonce(0, 0, commit_seq_ + 1),
+  return crypto::aes128_ctr(keys_->cipher, block_nonce(0, 0, commit_seq_ + 1),
                             plain);
 }
 
 Status Vpfs::deserialize_meta(BytesView blob) {
   const Bytes plain =
-      crypto::aes128_ctr(enc_key_, block_nonce(0, 0, commit_seq_), blob);
+      crypto::aes128_ctr(keys_->cipher, block_nonce(0, 0, commit_seq_), blob);
   files_.clear();
   std::size_t offset = 0;
   auto need = [&](std::size_t n) { return offset + n <= plain.size(); };
@@ -357,9 +357,7 @@ Status Vpfs::deserialize_meta(BytesView blob) {
 }
 
 Status Vpfs::write_seal(const crypto::Digest& meta_digest) {
-  Bytes state;
-  state.insert(state.end(), enc_key_.begin(), enc_key_.end());
-  state.insert(state.end(), mac_key_.begin(), mac_key_.end());
+  Bytes state = raw_keys_;
   state.insert(state.end(), meta_digest.begin(), meta_digest.end());
   append_u64(state, commit_seq_);
   append_u64(state, substrate_.machine().nv_counter());
@@ -397,7 +395,9 @@ Status Vpfs::sync() {
   Bytes record;
   append_u64(record, new_seq);
   record.insert(record.end(), meta_digest.begin(), meta_digest.end());
-  const crypto::Digest record_mac = crypto::hmac_sha256(mac_key_, record);
+  crypto::Hmac mac = keys_->mac;
+  mac.update(record);
+  const crypto::Digest record_mac = mac.finish();
   record.insert(record.end(), record_mac.begin(), record_mac.end());
   if (!backing_.exists(journal_path())) (void)backing_.create(journal_path());
   const auto journal_size = backing_.size(journal_path());
@@ -433,10 +433,9 @@ Result<std::unique_ptr<Vpfs>> Vpfs::format(
     substrate::IsolationSubstrate& substrate, substrate::DomainId domain,
     const std::string& prefix, BytesView key_seed) {
   auto fs = std::unique_ptr<Vpfs>(new Vpfs(backing, substrate, domain, prefix));
-  const Bytes keys = crypto::hkdf(to_bytes("vpfs.format.v1"), key_seed,
-                                  to_bytes("enc+mac"), 48);
-  std::copy(keys.begin(), keys.begin() + 16, fs->enc_key_.begin());
-  fs->mac_key_.assign(keys.begin() + 16, keys.end());
+  fs->raw_keys_ = crypto::hkdf(to_bytes("vpfs.format.v1"), key_seed,
+                               to_bytes("enc+mac"), 48);
+  fs->keys_.emplace(fs->raw_keys_);
   if (const Status s = fs->sync(); !s.ok()) return s.error();
   return fs;
 }
@@ -457,11 +456,9 @@ Result<std::unique_ptr<Vpfs>> Vpfs::mount(
   if (!state) return Errc::tamper_detected;
   if (state->size() != 16 + 32 + 32 + 8 + 8) return Errc::tamper_detected;
 
-  std::size_t offset = 0;
-  std::copy(state->begin(), state->begin() + 16, fs->enc_key_.begin());
-  offset += 16;
-  fs->mac_key_.assign(state->begin() + 16, state->begin() + 48);
-  offset += 32;
+  fs->raw_keys_.assign(state->begin(), state->begin() + 48);
+  fs->keys_.emplace(fs->raw_keys_);
+  std::size_t offset = 48;
   crypto::Digest sealed_digest;
   std::copy(state->begin() + 48, state->begin() + 80, sealed_digest.begin());
   offset += 32;

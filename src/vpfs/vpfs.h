@@ -172,8 +172,10 @@ class Vpfs {
   substrate::DomainId disk_domain_ = substrate::kInvalidDomain;
   substrate::RegionId block_region_ = 0;
 
-  crypto::Aes128Key enc_key_{};
-  Bytes mac_key_;
+  /// The 48 master-key bytes (AES key || MAC key), kept raw only to be
+  /// sealed; the block path uses `keys_`, keyed once from them.
+  Bytes raw_keys_;
+  std::optional<crypto::EncMacKeys> keys_;
   std::map<std::string, FileMeta> files_;
   std::uint64_t next_file_id_ = 1;
   std::uint64_t commit_seq_ = 0;
