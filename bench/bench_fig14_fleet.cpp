@@ -9,8 +9,8 @@
 //                 ticket resumption. Acceptance: resumed is at least 5x the
 //                 cold handshake rate.
 //   steady state — readings/sec through the anonymizer once the fleet is
-//                 connected: pipelined submits, ONE BatchChannel crossing
-//                 per pump, sealed replies collected in order.
+//                 connected: pipelined submits, ONE CompletionQueue
+//                 doorbell per pump, sealed replies collected in order.
 //   overload    — 10x more arrivals than the service rate, admission gate
 //                 off vs on. Off: the backlog (lossless by design) grows
 //                 without bound and arrival->completion p99 collapses. On:
@@ -251,7 +251,7 @@ SteadyNumbers measure_steady_state() {
 
   SteadyNumbers out;
   out.readings_per_sec = readings / elapsed_s;
-  // The server's own label counts arrival->completion; the BatchChannel it
+  // The server's own label counts arrival->completion; the CompletionQueue it
   // multiplexes through reports under "<label>.mux".
   const auto mux = rig.hub->counters("fig14.steady.mux").snapshot();
   out.crossing_cycles_per_reading =

@@ -309,7 +309,8 @@ Status FleetServer::serve_backlog(std::size_t max_batched) {
   std::size_t served = 0;
   while (!backlog_.empty() && (max_batched == 0 || served < max_batched)) {
     Arrival& front = backlog_.front();
-    auto id = cq_->submit(Bytes(front.payload));
+    // A refused submit leaves the payload in place for the retry below.
+    auto id = cq_->submit(std::move(front.payload));
     if (!id) {
       if (id.error() != Errc::exhausted) return id.error();
       // Submission ring full: ring once (flush + completion drain share

@@ -1,5 +1,6 @@
 #include "runtime/async_proxy.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace lateral::runtime {
@@ -183,9 +184,9 @@ Status AsyncRemoteProxy::cancel(RequestId id) {
 Status AsyncRemoteProxy::flush() {
   if (pending_.empty()) return Status::success();
 
-  // Seal in submission order. From the first seal on we are committed:
-  // the channel's send sequence has advanced, so any failure past this
-  // point is a channel-level failure, not a retryable one.
+  // Seal in submission order. Sealing fails only on a channel that is not
+  // established — on the first record, before anything is committed — so
+  // a refusal here leaves the calls queued for a safe retry.
   std::vector<Bytes> records;
   records.reserve(pending_.size());
   for (const PendingCall& call : pending_) {
@@ -195,59 +196,64 @@ Status AsyncRemoteProxy::flush() {
     records.push_back(std::move(*record));
   }
 
-  const std::size_t burst = pending_.size();
+  // Sealed: the burst is committed (the channel's send sequence advanced),
+  // so the calls leave the queue now and each ends in exactly one event
+  // below — a later flush never re-seals, so the server never re-runs them.
+  const std::vector<PendingCall> sent = std::move(pending_);
+  pending_.clear();
+  const std::size_t burst = sent.size();
   auto reply_records = transport_(records);
   counters_->record_batch(burst);
   ++counters_->doorbells;
-  if (!reply_records) {
-    // The burst is gone (sequence space consumed) but the invocations are
-    // not silently lost: each completes with the transport's error.
-    for (const PendingCall& call : pending_) {
-      ++counters_->completed;
-      completions_.emplace(call.id,
-                           CqEvent{call.id, reply_records.error(), {}, 0});
-    }
-    pending_.clear();
-    return Status::success();
-  }
-  if (reply_records->size() != burst) return Errc::io_error;
 
-  std::vector<PendingCall> sent = std::move(pending_);
-  pending_.clear();
-  std::map<RequestId, Cycles> submitted_at;
-  for (const PendingCall& call : sent)
-    submitted_at.emplace(call.id, call.submitted_at);
+  // Ids the replies leave unanswered complete with `unanswered`: the
+  // transport's error when the burst never came back, verification_failed
+  // when a reply record fails authentication (the sequence window is
+  // broken, so nothing after it can be opened), io_error when an authentic
+  // peer skipped or garbled a reply.
+  Errc unanswered = Errc::io_error;
+  std::vector<bool> answered(burst, false);
   const Cycles now = clock_now();
   // Windowed latency histogram for this exchange alone — the controller
   // judges the current burst depth by what *this* burst cost, not by the
   // cumulative history the exported counters keep.
   InvocationCounters window;
-  for (const Bytes& record : *reply_records) {
+  if (!reply_records) unanswered = reply_records.error();
+  const std::vector<Bytes> no_replies;
+  for (const Bytes& record : reply_records ? *reply_records : no_replies) {
     auto plain = channel_.open_record(record);
-    if (!plain) return plain.error();
-    if (plain->size() < 5) return Errc::invalid_argument;
-    CqEvent event;
-    event.id = get_u32(*plain);
-    event.status = static_cast<Errc>((*plain)[4]);
-    if (event.status == Errc::ok)
-      event.payload.assign(plain->begin() + 5, plain->end());
-    if (const auto sub = submitted_at.find(event.id);
-        config_.clock && sub != submitted_at.end()) {
-      event.cycles = now - sub->second;
+    if (!plain) {
+      unanswered = Errc::verification_failed;
+      break;
+    }
+    if (plain->size() < 5) continue;
+    // `sent` is in ascending id order; a reply naming an id outside this
+    // burst, or one already answered, is dropped.
+    const RequestId id = get_u32(*plain);
+    const auto call = std::lower_bound(
+        sent.begin(), sent.end(), id,
+        [](const PendingCall& c, RequestId v) { return c.id < v; });
+    const auto index = static_cast<std::size_t>(call - sent.begin());
+    if (call == sent.end() || call->id != id || answered[index]) continue;
+    answered[index] = true;
+    CqEvent event{id, static_cast<Errc>((*plain)[4]), {}, 0};
+    if (event.ok()) event.payload.assign(plain->begin() + 5, plain->end());
+    if (config_.clock) {
+      event.cycles = now - call->submitted_at;
       if (event.cycles > 0) {
         window.record_latency(event.cycles);
         counters_->record_latency(event.cycles);
       }
     }
     ++counters_->completed;
-    completions_.emplace(event.id, std::move(event));
+    completions_.emplace(id, std::move(event));
   }
-  for (const PendingCall& call : sent) {
-    // A reply burst that skipped one of our ids is a protocol violation;
-    // the invocation must still terminate.
-    if (!completions_.contains(call.id))
-      completions_.emplace(call.id, CqEvent{call.id, Errc::io_error, {}, 0});
+  for (std::size_t i = 0; i < burst; ++i) {
+    if (answered[i]) continue;
+    ++counters_->completed;
+    completions_.emplace(sent[i].id, CqEvent{sent[i].id, unanswered, {}, 0});
   }
+  if (!reply_records) return Status::success();
   controller_.observe(burst, window.latency_percentile(0.50),
                       window.latency_percentile(0.99));
   counters_->adaptive_depth = controller_.depth();

@@ -103,9 +103,12 @@ class AsyncRemoteProxy {
   Status cancel(RequestId id);
 
   /// Seal every queued submission and run one transport exchange.
-  /// Replies become retrievable via take()/wait(). On transport failure
-  /// the submissions stay queued (sealing happens only on success paths —
-  /// see header comment — so a retry flush is safe).
+  /// Replies become retrievable via take()/wait()/reap(). Once sealed,
+  /// every submission ends in exactly one event and is never re-sealed:
+  /// its reply's outcome, the transport's error, verification_failed when
+  /// a reply record fails authentication, or io_error when the peer's
+  /// replies skip or garble it. Only a channel that cannot seal (not
+  /// established) refuses, leaving the submissions queued.
   Status flush();
 
   /// Drain up to `max` completed events (0 = all), oldest request id

@@ -19,7 +19,7 @@
 // cancellation resolve at dequeue time: the task completes with
 // Errc::timed_out / Errc::cancelled instead of running. Together with the
 // stats() counters this gives the same lossless accounting contract as
-// BatchChannel.
+// CompletionQueue.
 #pragma once
 
 #include <array>
@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/batch_channel.h"
 #include "runtime/completion_queue.h"
 #include "runtime/metrics.h"
 #include "substrate/substrate.h"

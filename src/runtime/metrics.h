@@ -1,8 +1,9 @@
 // Runtime metrics — the observability half of the batching contract.
 //
-// Every BatchChannel / Executor accounts each accepted invocation to
-// exactly one terminal counter (completed, cancelled, timed_out), and each
-// refused one to `rejected`. That makes lossless backpressure *checkable*:
+// Every CompletionQueue (BatchChannel is an adapter over one) and Executor
+// accounts each accepted invocation to exactly one terminal counter
+// (completed, cancelled, timed_out), and each refused one to `rejected`.
+// That makes lossless backpressure *checkable*:
 //   submitted == completed + cancelled + timed_out + in_flight()
 // holds at every instant, and tests assert it under sustained overload.
 //
@@ -46,8 +47,9 @@ struct InvocationCounters {
   std::array<std::uint64_t, 12> batch_size_histogram{};
 
   // --- Completion-queue shape (lateral::cq) ---
-  /// Coalesced ring crossings: one doorbell flushes the submission ring AND
-  /// drains the completion ring for a single crossing charge.
+  /// Coalesced ring crossings: one doorbell flushes the submission ring and
+  /// forms every completion into the ready queue for a single crossing
+  /// charge. BatchChannel::flush crosses the same way but counts none.
   std::uint64_t doorbells = 0;
   /// The adaptive controller's current batch-depth target (a gauge, not a
   /// counter: the last exported value), plus its decision counters. A fixed
@@ -357,7 +359,7 @@ struct HealthStats {
 /// Aggregates counters per domain label ("mail.ui->imap", "fig9.sgx", ...).
 /// Channels configured with the same hub+label share one counter block, so
 /// a component's traffic is queryable in one place regardless of how many
-/// queue pairs it opens.
+/// queues it opens.
 ///
 /// Thread-safety: the label map is guarded by an internal mutex, and every
 /// counter block lives in a Slot pairing it with its own mutex.

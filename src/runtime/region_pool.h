@@ -6,8 +6,8 @@
 // allocator question answered once: RegionPool carves one region into
 // fixed-size slots, hands them out O(1) from a free list, and stages
 // payloads with a single region_write (the path's one copy). Slots are
-// returned either explicitly or by the BatchChannel integration when the
-// matching completion is delivered — by then the consumer's handler has
+// returned either explicitly or by the CompletionQueue's terminal path when
+// the matching completion is formed — by then the consumer's handler has
 // read the bytes in place, so reuse is safe.
 //
 // Sharding (FIG13): a pool serving a component sharded across cores is
@@ -23,7 +23,7 @@
 // goes through the substrate's reference monitor, so after a revoke or a
 // supervised restart (epoch bump) staging fails with Errc::stale_epoch and
 // the owner re-wires through Assembly::region_between, exactly like a
-// BatchChannel holder re-attaches after a fence.
+// CompletionQueue holder re-attaches after a fence.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,14 @@
 // Single-producer single-consumer ring queue — the submission/completion
 // queue shape of io_uring, shrunk to this simulation's needs.
 //
-// The runtime lays a pair of these over a substrate shared-memory channel:
-// the client (producer) enqueues invocations into the submission ring
-// without crossing the isolation boundary, then crosses ONCE per batch
-// (BatchChannel::flush), and completions come back through the twin ring.
+// CompletionQueue keeps its submission ring in one of these: the client
+// (producer) enqueues invocations without crossing the isolation boundary,
+// then the doorbell pops the whole ring and crosses ONCE per batch.
 // Head and tail are monotonically increasing 64-bit counters; the index is
 // `counter & mask`, so wraparound is free and full/empty are `tail-head`
-// comparisons, never an ambiguous head==tail.
+// comparisons, never an ambiguous head==tail. The counters double as
+// sequence numbers: the element pushed as the n-th (0-based) ever sits in
+// slot `n & mask` and is queued exactly while head() <= n < tail().
 //
 // Progress is wait-free for both sides: the producer only writes `tail`,
 // the consumer only writes `head`. That makes the ring safe for the
@@ -17,6 +18,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -40,6 +42,10 @@ class SpscRing {
     return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
                                     head_.load(std::memory_order_acquire));
   }
+
+  /// Count of elements ever popped / ever pushed.
+  std::uint64_t head() const { return head_.load(std::memory_order_acquire); }
+  std::uint64_t tail() const { return tail_.load(std::memory_order_acquire); }
 
   bool empty() const { return size() == 0; }
   bool full() const { return size() == capacity(); }

@@ -107,7 +107,7 @@ class IsolationSubstrate {
   /// enabled tracer). Payload capture obeys the domain's trace_capture
   /// consent; `data` supplies the opcode (first 4 bytes) either way. Public
   /// because the layers above the crossing stamp their own lifecycle points
-  /// into the same rings: BatchChannel (submit/flush), the supervisor
+  /// into the same rings: CompletionQueue (submit/flush), the supervisor
   /// (detected/relaunch/attested/recovered).
   void stamp_span(DomainId domain, const trace::TraceContext& ctx,
                   std::uint32_t span_id, trace::SpanPhase phase,

@@ -119,10 +119,10 @@ enum class SpanPhase : std::uint8_t {
   update_commit,  // component restarted into the new measurement and held
   update_revert,  // probation failed; previous slot restored and serving
   // Completion-queue runtime (lateral::cq). One doorbell = one coalesced
-  // crossing that flushes the submission ring AND drains the completion
-  // ring; the span's size field carries the adaptive controller's current
-  // batch depth so an exported timeline shows the depth trajectory.
-  doorbell,  // paired-ring flush+drain crossing (caller domain)
+  // crossing that flushes the submission ring and forms every completion;
+  // the span's size field carries the adaptive controller's current batch
+  // depth so an exported timeline shows the depth trajectory.
+  doorbell,  // submission-ring flush crossing (caller domain)
 };
 
 constexpr std::string_view span_phase_name(SpanPhase p) {

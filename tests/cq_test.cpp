@@ -6,7 +6,8 @@
 //  * CompletionQueue semantics on one substrate (doorbell coalescing,
 //    saturated-ring backpressure, deadlines interleaved with completions,
 //    pool-slot return on expiry, the Future-style wait shim, hub export,
-//    Executor submit_call coalescing);
+//    Executor submit_call coalescing, refused submits, sequence-number ids
+//    across ring wraparound);
 //  * x8 conformance that reap() charges exactly one crossing per drain.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/endpoint.h"
+#include "runtime/batch_channel.h"
 #include "runtime/completion_queue.h"
 #include "runtime/executor.h"
 #include "runtime/region_pool.h"
@@ -318,6 +320,67 @@ TEST_F(CqTest, WaitShimResolvesOneIdAndKeepsTheRest) {
   EXPECT_EQ(cq.ready(), 1u);  // a's event stayed in the ready queue
   EXPECT_EQ(to_string(*cq.wait(a)), "a!");
   EXPECT_EQ(cq.wait(9999).error(), Errc::invalid_argument);
+}
+
+TEST_F(CqTest, RefusedRvalueSubmitLeavesBufferUntouched) {
+  CompletionQueueConfig cfg;
+  cfg.depth = 2;
+  cfg.adaptive.min_batch = 1;
+  cfg.adaptive.max_batch = 2;
+  CompletionQueue cq(*substrate_, client_, channel_, cfg);
+  ASSERT_TRUE(cq.submit(to_bytes("a")).ok());
+  ASSERT_TRUE(cq.submit(to_bytes("b")).ok());
+  Bytes payload = to_bytes("keep-me");
+  EXPECT_EQ(cq.submit(std::move(payload)).error(), Errc::exhausted);
+  // The refusal consumed nothing: the caller still owns the bytes and can
+  // retry with the same buffer once the doorbell made room.
+  EXPECT_EQ(to_string(payload), "keep-me");  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(cq.doorbell().ok());
+  const auto id = cq.submit(std::move(payload));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(to_string(*cq.wait(*id)), "keep-me!");
+  EXPECT_EQ(cq.metrics().rejected, 1u);
+}
+
+TEST_F(CqTest, IdsStayUniqueAcrossRingWraparound) {
+  // A two-slot ring: the third submission reuses the first one's slot.
+  CompletionQueueConfig cfg;
+  cfg.depth = 2;
+  cfg.adaptive.min_batch = 1;
+  cfg.adaptive.max_batch = 2;
+  CompletionQueue cq(*substrate_, client_, channel_, cfg);
+  const SubmissionId old_id = *cq.submit(to_bytes("old"));
+  EXPECT_EQ(to_string(*cq.wait(old_id)), "old!");
+  const SubmissionId x = *cq.submit(to_bytes("x"));
+  const SubmissionId y = *cq.submit(to_bytes("y"));  // old_id's slot
+  EXPECT_NE(y, old_id);
+  EXPECT_NE(x, old_id);
+  // The stale id names nothing any more: no cancel mark lands on the
+  // occupant, and wait neither rings nor returns someone else's event.
+  const Cycles before = machine_->now();
+  EXPECT_EQ(cq.cancel(old_id).error(), Errc::invalid_argument);
+  EXPECT_EQ(cq.wait(old_id).error(), Errc::invalid_argument);
+  EXPECT_EQ(machine_->now(), before);
+  EXPECT_EQ(cq.pending(), 2u);
+  EXPECT_EQ(to_string(*cq.wait(y)), "y!");
+  EXPECT_EQ(to_string(*cq.wait(x)), "x!");
+  EXPECT_EQ(cq.metrics().cancelled, 0u);
+
+  // The BatchChannel adapter shares the id scheme.
+  BatchChannel batch(*substrate_, client_, channel_, {.depth = 2});
+  const SubmissionId b_old = *batch.submit(to_bytes("old"));
+  ASSERT_TRUE(batch.flush().ok());
+  EXPECT_EQ(to_string(*batch.wait(b_old)), "old!");
+  const SubmissionId bx = *batch.submit(to_bytes("x"));
+  const SubmissionId by = *batch.submit(to_bytes("y"));
+  EXPECT_NE(by, b_old);
+  EXPECT_EQ(batch.cancel(b_old).error(), Errc::invalid_argument);
+  EXPECT_EQ(batch.wait(b_old).error(), Errc::invalid_argument);
+  EXPECT_EQ(batch.pending(), 2u);  // the stale wait flushed nothing
+  ASSERT_TRUE(batch.flush().ok());
+  EXPECT_EQ(to_string(*batch.wait(by)), "y!");
+  EXPECT_EQ(to_string(*batch.wait(bx)), "x!");
+  EXPECT_EQ(batch.metrics().cancelled, 0u);
 }
 
 TEST_F(CqTest, ControllerStateIsExportedThroughTheHub) {

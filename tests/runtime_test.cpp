@@ -159,7 +159,7 @@ TEST_F(BatchChannelTest, CompletionRingGuardKeepsSubmissionsQueued) {
   ASSERT_TRUE(batch.submit(to_bytes("c")).ok());
   EXPECT_EQ(batch.flush().error(), Errc::exhausted);
   EXPECT_EQ(batch.pending(), 2u);
-  // Draining the completion ring unblocks the flush.
+  // Reading a completion makes room, which unblocks the flush.
   EXPECT_EQ(to_string(*batch.wait(first)), "echo:a");
   EXPECT_TRUE(batch.flush().ok());
   EXPECT_EQ(batch.pending(), 0u);
@@ -1145,6 +1145,76 @@ TEST_F(AsyncRemoteTest, TamperedBurstRecordRefusedByDispatcher) {
   EXPECT_EQ(proxy.take(2).error(), Errc::verification_failed);
 }
 
+TEST_F(AsyncRemoteTest, UnauthenticReplyCompletesEveryUnansweredId) {
+  AsyncRemoteProxy proxy(
+      *client_,
+      [this](const std::vector<Bytes>& records) -> Result<std::vector<Bytes>> {
+        auto replies = dispatcher_->handle_burst(records);
+        if (replies) (*replies)[1].back() ^= 0x01;  // forge the second reply
+        return replies;
+      });
+  const RequestId a = *proxy.submit("echo", to_bytes("a"));
+  const RequestId b = *proxy.submit("echo", to_bytes("b"));
+  const RequestId c = *proxy.submit("echo", to_bytes("c"));
+  ASSERT_TRUE(proxy.flush().ok());
+  // Replies before the forgery stand; from it on the sequence window is
+  // broken, so the rest can never be authenticated.
+  EXPECT_EQ(to_string(*proxy.take(a)), "a");
+  EXPECT_EQ(proxy.take(b).error(), Errc::verification_failed);
+  EXPECT_EQ(proxy.take(c).error(), Errc::verification_failed);
+  EXPECT_EQ(proxy.pending(), 0u);
+  const InvocationCounters m = proxy.metrics();
+  EXPECT_EQ(m.submitted, m.completed + m.cancelled);
+}
+
+TEST_F(AsyncRemoteTest, ShortReplyRecordCompletesItsIdWithIoError) {
+  AsyncRemoteProxy proxy(
+      *client_,
+      [this](const std::vector<Bytes>& records) -> Result<std::vector<Bytes>> {
+        std::vector<Bytes> replies;
+        for (const Bytes& record : records) {
+          auto plain = server_->open_record(record);
+          if (!plain) return plain.error();
+          // Authentic but truncated: the request id, no status byte.
+          auto sealed = server_->seal_record(BytesView(*plain).first(4));
+          if (!sealed) return sealed.error();
+          replies.push_back(std::move(*sealed));
+        }
+        return replies;
+      });
+  const RequestId a = *proxy.submit("echo", to_bytes("a"));
+  const RequestId b = *proxy.submit("echo", to_bytes("b"));
+  ASSERT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(proxy.take(a).error(), Errc::io_error);
+  EXPECT_EQ(proxy.take(b).error(), Errc::io_error);
+  EXPECT_EQ(proxy.pending(), 0u);
+  const InvocationCounters m = proxy.metrics();
+  EXPECT_EQ(m.submitted, m.completed + m.cancelled);
+}
+
+TEST_F(AsyncRemoteTest, MissingReplyCompletesWithoutResealing) {
+  AsyncRemoteProxy proxy(
+      *client_,
+      [this](const std::vector<Bytes>& records) -> Result<std::vector<Bytes>> {
+        ++bursts_;
+        auto replies = dispatcher_->handle_burst(records);
+        if (replies) replies->pop_back();  // the peer drops the last reply
+        return replies;
+      });
+  const RequestId a = *proxy.submit("echo", to_bytes("a"));
+  const RequestId b = *proxy.submit("echo", to_bytes("b"));
+  ASSERT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(to_string(*proxy.take(a)), "a");
+  EXPECT_EQ(proxy.take(b).error(), Errc::io_error);
+  EXPECT_EQ(proxy.pending(), 0u);
+  const InvocationCounters m = proxy.metrics();
+  EXPECT_EQ(m.submitted, m.completed + m.cancelled);
+  // Nothing is left to re-seal: the server ran each request exactly once.
+  ASSERT_TRUE(proxy.flush().ok());
+  EXPECT_EQ(bursts_, 1);
+  EXPECT_EQ(server_calls_, 2);
+}
+
 TEST_F(AsyncRemoteTest, ReapDrainsCompletedEventsInOrder) {
   AsyncRemoteProxy proxy = make_proxy();
   std::vector<RequestId> ids;
@@ -1278,6 +1348,82 @@ TEST_P(BatchedPathConformance, LosslessUnderCancelAndDeadline) {
   EXPECT_EQ(m.cancelled, 1u);
   EXPECT_EQ(m.timed_out, 1u);
   EXPECT_EQ(m.in_flight(), 0u);
+}
+
+TEST_P(BatchedPathConformance, AdapterMatchesFixedDepthQueue) {
+  // One mixed batch — inline, moved-in, sg, staged, cancelled, expired —
+  // through the BatchChannel adapter and through a fixed-depth
+  // CompletionQueue: the same crossing, the same counters, the same
+  // per-id outcomes.
+  ASSERT_TRUE(substrate_->call(client_, channel_, to_bytes("warm")).ok());
+  auto region = substrate_->create_region(client_, server_, 4096);
+  ASSERT_TRUE(region.ok());
+  ASSERT_TRUE(substrate_->map_region(client_, *region).ok());
+  ASSERT_TRUE(substrate_->map_region(server_, *region).ok());
+  RegionPool pool(*substrate_, client_, *region, 2048, 1024);
+  ASSERT_TRUE(
+      substrate_->region_write(client_, *region, 3072, Bytes(512, 0x5A)).ok());
+  auto desc = substrate_->make_descriptor(client_, *region, 3072, 512);
+  ASSERT_TRUE(desc.ok());
+
+  struct Outcome {
+    Cycles crossing = 0;
+    InvocationCounters m;
+    std::vector<std::pair<Errc, Bytes>> results;
+  };
+  const auto run = [&](auto& queue, auto&& ring) {
+    std::vector<SubmissionId> ids;
+    ids.push_back(*queue.submit(to_bytes("inline")));
+    ids.push_back(*queue.submit(to_bytes("moved")));
+    ids.push_back(*queue.submit_sg(to_bytes("sg"), {*desc}));
+    ids.push_back(*queue.submit_staged(pool, to_bytes("st"), to_bytes("b")));
+    ids.push_back(*queue.submit(to_bytes("cancel-me")));
+    ids.push_back(*queue.submit(to_bytes("late"), {.deadline = 1}));
+    EXPECT_TRUE(queue.cancel(ids[4]).ok());
+    Outcome out;
+    const Cycles start = substrate_->machine().now();
+    EXPECT_TRUE(ring().ok());
+    out.crossing = substrate_->machine().now() - start;
+    out.m = queue.metrics();
+    for (const SubmissionId id : ids) {
+      Result<Bytes> r = queue.wait(id);
+      out.results.emplace_back(r ? Errc::ok : r.error(),
+                               r ? std::move(*r) : Bytes{});
+    }
+    return out;
+  };
+
+  BatchChannel batch(*substrate_, client_, channel_, {.depth = 8});
+  const Outcome a = run(batch, [&] { return batch.flush(); });
+  CompletionQueueConfig cfg;
+  cfg.depth = 8;
+  cfg.adaptive.min_batch = 8;
+  cfg.adaptive.max_batch = 8;
+  cfg.adaptive.adaptive = false;
+  CompletionQueue cq(*substrate_, client_, channel_, cfg);
+  const Outcome b = run(cq, [&] { return cq.doorbell(); });
+
+  EXPECT_GT(a.crossing, 0u) << GetParam();
+  EXPECT_EQ(a.crossing, b.crossing) << GetParam();
+  EXPECT_EQ(a.results, b.results) << GetParam();
+  EXPECT_EQ(a.results[0].second, to_bytes("inline!"));
+  EXPECT_EQ(a.results[2].second, to_bytes("sg!"));
+  EXPECT_EQ(a.results[4].first, Errc::cancelled);
+  EXPECT_EQ(a.results[5].first, Errc::timed_out);
+  EXPECT_EQ(pool.slots_free(), pool.slots_total());
+  for (const auto field :
+       {&InvocationCounters::submitted, &InvocationCounters::completed,
+        &InvocationCounters::cancelled, &InvocationCounters::timed_out,
+        &InvocationCounters::batches, &InvocationCounters::crossing_cycles,
+        &InvocationCounters::sync_equivalent_cycles,
+        &InvocationCounters::zero_copy_bytes,
+        &InvocationCounters::latency_count,
+        &InvocationCounters::latency_total_cycles})
+    EXPECT_EQ(a.m.*field, b.m.*field) << GetParam();
+  EXPECT_EQ(a.m.completed, 4u) << GetParam();
+  // Only the queue rings doorbells; the adapter's flush counts none.
+  EXPECT_EQ(a.m.doorbells, 0u);
+  EXPECT_EQ(b.m.doorbells, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBatchedSubstrates, BatchedPathConformance,
