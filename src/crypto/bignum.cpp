@@ -267,8 +267,9 @@ Bignum Bignum::mulmod(const Bignum& rhs, const Bignum& m) const {
 // 128-bit intermediates: for an n-word m, R = 2^(64n), and a value x is held
 // in Montgomery form as the n words of x*R mod m. Multiplication is CIOS
 // (coarsely integrated operand scanning), which interleaves the product with
-// the reduction. The context owns every scratch buffer, so exponentiation
-// allocates only its result.
+// the reduction. The context holds only constants; every operation takes its
+// scratch from the caller or allocates its own, so one context may serve
+// many threads.
 class Bignum::Montgomery {
  public:
   using Words = std::vector<std::uint64_t>;
@@ -277,9 +278,7 @@ class Bignum::Montgomery {
       : modulus_(m),
         m_(pack(m, (m.limbs_.size() + 1) / 2)),
         one_(pack((Bignum(1) << (64 * m_.size())) % m, m_.size())),
-        r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())),
-        t_(m_.size() + 2),
-        table_(16, Words(m_.size())) {
+        r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())) {
     // Newton's iteration for m^-1 mod 2^64: m0 is its own inverse mod 2^3,
     // and each step doubles the correct low bits (3 -> 6 -> ... -> 96).
     const std::uint64_t m0 = m_[0];
@@ -288,22 +287,32 @@ class Bignum::Montgomery {
     m_inv_ = 0 - inv;
   }
 
+  const Bignum& modulus() const { return modulus_; }
+
+  /// Words per residue.
+  std::size_t size() const { return m_.size(); }
+
+  /// A CIOS accumulator for mul.
+  Words scratch() const { return Words(m_.size() + 2); }
+
   /// R mod m: the Montgomery form of 1.
   const Words& one() const { return one_; }
 
   /// x*R mod m, for any x.
-  Words to_mont(const Bignum& x) {
+  Words to_mont(const Bignum& x) const {
     Words out = pack(x < modulus_ ? x : x % modulus_, m_.size());
-    mul(out, out, r2_);
+    Words t = scratch();
+    mul(out.data(), out.data(), r2_.data(), t.data());
     return out;
   }
 
   /// a*R^-1 mod m, as an ordinary Bignum.
-  Bignum from_mont(const Words& a) {
+  Bignum from_mont(const Words& a) const {
     Words plain_one(m_.size(), 0);
     plain_one[0] = 1;
     Words out(m_.size());
-    mul(out, a, plain_one);
+    Words t = scratch();
+    mul(out.data(), a.data(), plain_one.data(), t.data());
     std::vector<std::uint32_t> limbs(2 * out.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
       limbs[2 * i] = static_cast<std::uint32_t>(out[i]);
@@ -312,12 +321,13 @@ class Bignum::Montgomery {
     return from_limbs(std::move(limbs));
   }
 
-  /// out = a*b*R^-1 mod m, for a, b < m. out may alias a or b.
-  void mul(Words& out, const Words& a, const Words& b) {
+  /// out = a*b*R^-1 mod m, for a, b < m, with t a scratch() accumulator.
+  /// out may alias a or b.
+  void mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+           std::uint64_t* t) const {
     using Wide = unsigned __int128;
     const std::size_t n = m_.size();
-    std::uint64_t* t = t_.data();
-    std::fill(t_.begin(), t_.end(), 0);
+    std::fill(t, t + n + 2, 0);
     for (std::size_t i = 0; i < n; ++i) {
       // t += a * b[i]
       std::uint64_t carry = 0;
@@ -361,27 +371,32 @@ class Bignum::Montgomery {
         borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
       }
     }
-    out.assign(t, t + n);
+    std::copy(t, t + n, out);
   }
 
   /// base^e in Montgomery form, for base in Montgomery form. A fixed 4-bit
   /// window multiplies by table[digit] on every window (table[0] = R), so
   /// the sequence of operations depends only on e's bit length.
-  Words pow(const Words& base, const Bignum& e) {
+  Words pow(const Words& base, const Bignum& e) const {
     const std::size_t windows = (e.bit_length() + 3) / 4;
     if (windows == 0) return one_;
-    table_[0] = one_;
-    table_[1] = base;
-    for (std::size_t k = 2; k < table_.size(); ++k)
-      mul(table_[k], table_[k - 1], base);
+    const std::size_t n = m_.size();
+    Words t = scratch();
+    Words table(16 * n);  // base^0..base^15, one residue per n words
+    const auto entry = [&](std::size_t k) { return table.data() + k * n; };
+    std::copy(one_.begin(), one_.end(), entry(0));
+    std::copy(base.begin(), base.end(), entry(1));
+    for (std::size_t k = 2; k < 16; ++k)
+      mul(entry(k), entry(k - 1), base.data(), t.data());
     // 4-bit windows never straddle a 32-bit limb.
     const auto digit = [&](std::size_t w) {
       return (e.limbs_[w / 8] >> (4 * (w % 8))) & 0xF;
     };
-    Words acc = table_[digit(windows - 1)];
+    Words acc(entry(digit(windows - 1)), entry(digit(windows - 1)) + n);
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (int i = 0; i < 4; ++i) mul(acc, acc, acc);
-      mul(acc, acc, table_[digit(w)]);
+      for (int i = 0; i < 4; ++i)
+        mul(acc.data(), acc.data(), acc.data(), t.data());
+      mul(acc.data(), acc.data(), entry(digit(w)), t.data());
     }
     return acc;
   }
@@ -400,15 +415,13 @@ class Bignum::Montgomery {
   std::uint64_t m_inv_{};   // -m^-1 mod 2^64
   Words one_;               // R mod m
   Words r2_;                // R^2 mod m, for to_mont
-  Words t_;                 // CIOS accumulator, n + 2 words
-  std::vector<Words> table_;  // pow's window table, base^0..base^15
 };
 
 Bignum Bignum::powmod(const Bignum& exponent, const Bignum& m) const {
   if (m.is_zero()) throw Error("Bignum powmod with zero modulus");
   if (m == Bignum(1)) return Bignum();
   if (m.is_odd()) {
-    Montgomery mont(m);
+    const Montgomery mont(m);
     return mont.from_mont(mont.pow(mont.to_mont(*this), exponent));
   }
   // Montgomery form needs an odd modulus; even ones take plain
@@ -421,6 +434,62 @@ Bignum Bignum::powmod(const Bignum& exponent, const Bignum& m) const {
     base = base.mulmod(base, m);
   }
   return result;
+}
+
+MontgomeryModulus::MontgomeryModulus(const Bignum& m) {
+  if (!m.is_odd() || m == Bignum(1))
+    throw Error("MontgomeryModulus: modulus must be odd and greater than 1");
+  mont_ = std::make_unique<const Bignum::Montgomery>(m);
+}
+
+MontgomeryModulus::~MontgomeryModulus() = default;
+MontgomeryModulus::MontgomeryModulus(MontgomeryModulus&&) noexcept = default;
+
+const Bignum& MontgomeryModulus::value() const { return mont_->modulus(); }
+
+Bignum MontgomeryModulus::powmod(const Bignum& base,
+                                 const Bignum& exponent) const {
+  return mont_->from_mont(mont_->pow(mont_->to_mont(base), exponent));
+}
+
+FixedBaseTable::FixedBaseTable(MontgomeryModulus m, const Bignum& g,
+                               std::size_t max_exponent_bits)
+    : m_(std::move(m)), rows_((max_exponent_bits + 3) / 4) {
+  const Bignum::Montgomery& mont = *m_.mont_;
+  const std::size_t n = mont.size();
+  table_.resize(rows_ * 15 * n);
+  const auto entry = [&](std::size_t row, std::size_t d) {
+    return table_.data() + (row * 15 + d - 1) * n;
+  };
+  Bignum::Montgomery::Words t = mont.scratch();
+  const Bignum::Montgomery::Words g_mont = mont.to_mont(g);
+  for (std::size_t row = 0; row < rows_; ++row) {
+    // g^(16^row): g itself, then g^(15*16^(row-1)) * g^(16^(row-1)).
+    if (row == 0)
+      std::copy(g_mont.begin(), g_mont.end(), entry(0, 1));
+    else
+      mont.mul(entry(row, 1), entry(row - 1, 15), entry(row - 1, 1), t.data());
+    for (std::size_t d = 2; d <= 15; ++d)
+      mont.mul(entry(row, d), entry(row, d - 1), entry(row, 1), t.data());
+  }
+}
+
+Bignum FixedBaseTable::pow(const Bignum& x) const {
+  if (x.bit_length() > 4 * rows_)
+    throw Error("FixedBaseTable: exponent wider than the table");
+  const Bignum::Montgomery& mont = *m_.mont_;
+  const std::size_t n = mont.size();
+  Bignum::Montgomery::Words t = mont.scratch();
+  Bignum::Montgomery::Words acc = mont.one();
+  for (std::size_t row = 0; row < rows_; ++row) {
+    const std::size_t limb = row / 8;
+    const std::uint32_t d =
+        limb < x.limbs_.size() ? (x.limbs_[limb] >> (4 * (row % 8))) & 0xF : 0;
+    const std::uint64_t* factor =
+        d == 0 ? mont.one().data() : table_.data() + (row * 15 + d - 1) * n;
+    mont.mul(acc.data(), acc.data(), factor, t.data());
+  }
+  return mont.from_mont(acc);
 }
 
 Bignum Bignum::gcd(Bignum a, Bignum b) {
@@ -514,14 +583,15 @@ bool Bignum::is_probable_prime(HmacDrbg& drbg, int rounds) const {
 
   // Every witness runs in Montgomery form modulo this (odd) n, where 1 and
   // n-1 have fixed representations.
-  Montgomery mont(*this);
-  const Montgomery::Words one = mont.one();
+  const Montgomery mont(*this);
+  const Montgomery::Words& one = mont.one();
   const Montgomery::Words minus_one = mont.to_mont(n_minus_1);
+  Montgomery::Words t = mont.scratch();
   auto witness = [&](const Bignum& a) {
     Montgomery::Words x = mont.pow(mont.to_mont(a), d);
     if (x == one || x == minus_one) return false;  // not a witness
     for (std::size_t i = 1; i < s; ++i) {
-      mont.mul(x, x, x);
+      mont.mul(x.data(), x.data(), x.data(), t.data());
       if (x == minus_one) return false;
     }
     return true;  // composite witnessed

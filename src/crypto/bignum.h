@@ -5,11 +5,15 @@
 // net::SecureChannel. Little-endian 32-bit limbs, 64-bit intermediates;
 // division is Knuth Algorithm D. powmod with an odd modulus (every RSA and
 // DH modulus) and the Miller-Rabin test run in Montgomery form: 64-bit
-// words, CIOS multiplication and a fixed 4-bit window.
+// words, CIOS multiplication and a fixed 4-bit window. MontgomeryModulus
+// keeps the per-modulus constants of that form across calls, and
+// FixedBaseTable raises one fixed base (the DH generator) with a
+// precomputed table instead of squarings.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,6 +100,8 @@ class Bignum {
 
  private:
   class Montgomery;  // odd-modulus exponentiation context (bignum.cpp)
+  friend class MontgomeryModulus;
+  friend class FixedBaseTable;
 
   void trim();
   static Bignum from_limbs(std::vector<std::uint32_t> limbs);
@@ -107,6 +113,53 @@ class Bignum {
 struct Bignum::DivMod {
   Bignum quotient;
   Bignum remainder;
+};
+
+/// An odd modulus m > 1 with the Montgomery constants that powmod derives
+/// on every call (R mod m, R^2 mod m, -m^-1 mod 2^64; two long divisions)
+/// computed once. Immutable after construction, so one instance may serve
+/// any number of threads at once.
+class MontgomeryModulus {
+ public:
+  /// Throws Error unless m is odd and greater than 1.
+  explicit MontgomeryModulus(const Bignum& m);
+  ~MontgomeryModulus();
+  MontgomeryModulus(MontgomeryModulus&&) noexcept;
+
+  const Bignum& value() const;
+
+  /// base^exponent mod m; equals base.powmod(exponent, value()).
+  Bignum powmod(const Bignum& base, const Bignum& exponent) const;
+
+ private:
+  friend class FixedBaseTable;
+  std::unique_ptr<const Bignum::Montgomery> mont_;
+};
+
+/// g^x mod m for one fixed base g and exponents of at most
+/// `max_exponent_bits` bits. Row i of the table holds g^(d*16^i) mod m for
+/// the digits d = 1..15, so g^x is one Montgomery multiply per 4-bit digit
+/// of x and no squarings: 64 multiplies for a 256-bit x, against ~330 for
+/// powmod. Every row multiplies, a zero digit by one, so the sequence of
+/// operations does not depend on x. The table holds
+/// ceil(max_exponent_bits / 4) * 15 residues (92 KB for a 256-bit exponent
+/// and a 768-bit m). Immutable after construction, so one instance may
+/// serve any number of threads at once.
+class FixedBaseTable {
+ public:
+  FixedBaseTable(MontgomeryModulus m, const Bignum& g,
+                 std::size_t max_exponent_bits);
+
+  const MontgomeryModulus& modulus() const { return m_; }
+
+  /// g^x mod m; equals g.powmod(x, modulus().value()). Throws Error if x
+  /// has more than max_exponent_bits bits: the table has no row for them.
+  Bignum pow(const Bignum& x) const;
+
+ private:
+  MontgomeryModulus m_;
+  std::size_t rows_;
+  std::vector<std::uint64_t> table_;  // rows_ x 15 residues, row-major
 };
 
 inline Bignum Bignum::operator/(const Bignum& rhs) const {

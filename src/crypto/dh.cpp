@@ -13,19 +13,27 @@ const DhGroup& DhGroup::oakley1() {
         "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
         "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF");
     if (!p) throw Error("DhGroup::oakley1: bad prime constant");
-    return DhGroup{std::move(*p), Bignum(2)};
+    return DhGroup(std::move(*p), Bignum(2));
   }();
   return group;
+}
+
+const FixedBaseTable& DhGroup::generator_table() const {
+  std::call_once(table_once_, [this] {
+    table_ = std::make_unique<const FixedBaseTable>(MontgomeryModulus(p), g,
+                                                    kPrivateKeyBits);
+  });
+  return *table_;
 }
 
 DhKeyPair DhKeyPair::generate(const DhGroup& group, HmacDrbg& drbg) {
   // Private exponent in [2, p-2]; 256 bits of entropy is ample for the
   // simulation-scale group.
-  Bignum x = Bignum::random_bits(drbg, 256);
+  Bignum x = Bignum::random_bits(drbg, DhGroup::kPrivateKeyBits);
   const Bignum p_minus_2 = group.p - Bignum(2);
   if (x >= p_minus_2) x = x % p_minus_2;
   if (x < Bignum(2)) x = x + Bignum(2);
-  Bignum gx = group.g.powmod(x, group.p);
+  Bignum gx = group.generator_table().pow(x);
   return DhKeyPair{std::move(x), std::move(gx)};
 }
 
@@ -34,7 +42,8 @@ Result<Bytes> dh_shared_secret(const DhGroup& group, const Bignum& private_key,
   // Reject degenerate public values that force a trivial shared secret.
   if (peer_public < Bignum(2)) return Errc::crypto_failure;
   if (peer_public >= group.p - Bignum(1)) return Errc::crypto_failure;
-  const Bignum secret = peer_public.powmod(private_key, group.p);
+  const Bignum secret =
+      group.generator_table().modulus().powmod(peer_public, private_key);
   auto padded = secret.to_bytes_padded((group.p.bit_length() + 7) / 8);
   if (!padded) return Errc::crypto_failure;
   return *padded;

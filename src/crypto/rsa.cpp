@@ -84,7 +84,12 @@ RsaKeyPair RsaKeyPair::generate(HmacDrbg& drbg, std::size_t modulus_bits) {
     if (Bignum::gcd(e, phi) != Bignum(1)) continue;
     auto d = e.invmod(phi);
     if (!d) continue;
-    return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d)};
+    auto qinv = q.invmod(p);
+    if (!qinv) continue;  // unreachable: distinct primes are coprime
+    Bignum dp = *d % (p - Bignum(1));
+    Bignum dq = *d % (q - Bignum(1));
+    return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d), p, q,
+                      std::move(dp), std::move(dq), std::move(*qinv)};
   }
 }
 
@@ -92,7 +97,18 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView message) {
   const std::size_t em_len = (key.pub.n.bit_length() + 7) / 8;
   auto em = encode_message(message, em_len);
   if (!em) throw Error("rsa_sign: modulus too small for encoding");
-  const Bignum sig = em->powmod(key.d, key.pub.n);
+  // Garner: s = m2 + q * (qinv * (m1 - m2) mod p), with m1 = em^dp mod p
+  // and m2 = em^dq mod q. m2 may exceed p when q > p, hence the reduction.
+  const Bignum m1 = em->powmod(key.dp, key.p);
+  const Bignum m2 = em->powmod(key.dq, key.q);
+  const Bignum m2_mod_p = m2 % key.p;
+  const Bignum diff =
+      m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
+  const Bignum sig = m2 + diff.mulmod(key.qinv, key.p) * key.q;
+  // Boneh-DeMillo-Lipton: a fault in either half yields an s with
+  // gcd(s^e - em, n) = p or q. Release nothing that fails the public check.
+  if (sig.powmod(key.pub.e, key.pub.n) != *em)
+    throw Error("rsa_sign: CRT result failed the public-key check");
   auto padded = sig.to_bytes_padded(em_len);
   if (!padded) throw Error("rsa_sign: signature width error");
   return *padded;

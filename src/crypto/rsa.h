@@ -4,6 +4,12 @@
 // signing all use these signatures. Key sizes are configurable: tests use
 // 512-bit keys for speed, root/vendor keys default to 1024 bits. These
 // parameters are simulation-scale, not deployment advice.
+//
+// Signing runs on the CRT form of the private key: two exponentiations
+// modulo the half-size primes with half-length exponents, recombined by
+// Garner's formula, then checked against the public key before the
+// signature leaves (a faulty half would otherwise leak a factor of n).
+// The signature is bit-identical to em^d mod n.
 #pragma once
 
 #include "crypto/bignum.h"
@@ -32,12 +38,19 @@ struct RsaPublicKey {
 struct RsaKeyPair {
   RsaPublicKey pub;
   Bignum d;  // private exponent
+  // CRT form of d, which rsa_sign uses.
+  Bignum p, q;  // n = p * q
+  Bignum dp;    // d mod (p - 1)
+  Bignum dq;    // d mod (q - 1)
+  Bignum qinv;  // q^-1 mod p
 
   /// Generate a fresh key pair with an n of `modulus_bits`.
   static RsaKeyPair generate(HmacDrbg& drbg, std::size_t modulus_bits);
 };
 
-/// Sign SHA-256(message) with PKCS#1 v1.5-style padding.
+/// Sign SHA-256(message) with PKCS#1 v1.5-style padding. Throws Error, and
+/// returns no signature, if the CRT result fails the public-key check
+/// s^e mod n == em (a corrupted key or a computation fault).
 Bytes rsa_sign(const RsaKeyPair& key, BytesView message);
 
 /// Verify a signature over `message`. Status with

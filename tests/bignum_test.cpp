@@ -301,6 +301,64 @@ TEST(Bignum, PowModEvenModuli) {
   }
 }
 
+// MontgomeryModulus keeps powmod's per-modulus constants across calls; it
+// must agree with powmod on every odd edge modulus.
+TEST(Bignum, MontgomeryModulusMatchesPowmod) {
+  util::Xoshiro rng(16);
+  for (const Bignum& m : odd_edge_moduli()) {
+    const MontgomeryModulus mod(m);
+    EXPECT_EQ(mod.value(), m);
+    for (int trial = 0; trial < 3; ++trial) {
+      const Bignum base = rand_bignum(rng, 2 * ((m.bit_length() + 7) / 8));
+      const Bignum e = rand_bignum(rng, (m.bit_length() + 7) / 8 + 2);
+      EXPECT_EQ(mod.powmod(base, e), ref_powmod(base, e, m)) << m.to_hex();
+    }
+    EXPECT_EQ(mod.powmod(m - Bignum(1), Bignum()), Bignum(1));
+  }
+  EXPECT_THROW(MontgomeryModulus(Bignum(1)), Error);
+  EXPECT_THROW(MontgomeryModulus(Bignum(10)), Error);
+}
+
+// The fixed-base table against powmod: seeded full-width exponents, the
+// extremes of a 256-bit table, and exponents shorter than the table (their
+// high rows multiply by one).
+TEST(Bignum, FixedBaseTableMatchesPowmod) {
+  const DhGroup& group = DhGroup::oakley1();
+  const FixedBaseTable& table = group.generator_table();
+  HmacDrbg drbg(to_bytes("fixed-base"));
+  std::vector<Bignum> exponents = {Bignum(), Bignum(1), Bignum(2),
+                                   Bignum(1) << 255, all_ones(256),
+                                   Bignum(0xF0F0F0F0F0F0F0F0ULL)};
+  for (int i = 0; i < 32; ++i) exponents.push_back(Bignum::random_bits(drbg, 256));
+  for (int i = 0; i < 8; ++i)
+    exponents.push_back(Bignum::random_bits(drbg, 1 + 31 * i));
+  for (const Bignum& x : exponents)
+    EXPECT_EQ(table.pow(x), group.g.powmod(x, group.p)) << x.to_hex();
+  EXPECT_THROW(table.pow(Bignum(1) << 256), Error);
+}
+
+// A table over an arbitrary odd modulus and base, with a bit budget that is
+// not a multiple of the 4-bit digit.
+TEST(Bignum, FixedBaseTableAnyModulusAndBase) {
+  util::Xoshiro rng(17);
+  for (const std::size_t limbs : {1u, 3u, 8u, 17u}) {
+    Bytes raw = rng.bytes(4 * limbs);
+    raw.front() |= 0x80;
+    raw.back() |= 1;
+    const Bignum m = Bignum::from_bytes(raw);
+    const Bignum g = rand_bignum(rng, 8 * limbs);  // may exceed m
+    const FixedBaseTable table(MontgomeryModulus(m), g, 101);
+    for (int trial = 0; trial < 8; ++trial) {
+      const Bignum x = Bignum::from_bytes(rng.bytes(13)) >> 3;  // <= 101 bits
+      EXPECT_EQ(table.pow(x), ref_powmod(g, x, m)) << m.to_hex();
+    }
+    EXPECT_EQ(table.pow(all_ones(101)), ref_powmod(g, all_ones(101), m));
+    // 101 bits round up to 26 rows, so up to 104 bits fit; 105 do not.
+    EXPECT_EQ(table.pow(all_ones(104)), ref_powmod(g, all_ones(104), m));
+    EXPECT_THROW(table.pow(Bignum(1) << 104), Error);
+  }
+}
+
 TEST(Bignum, MillerRabinMatchesTrialDivision) {
   HmacDrbg drbg(to_bytes("mr-sweep"));
   const auto is_prime = [](std::uint64_t n) {
@@ -354,6 +412,28 @@ TEST(Bignum, GoldenOakley1SharedSecret) {
             "a1454c2637ad0254e5bc95a15516b6a86a7c48dbd48fc2b5019cdad036b1babd"
             "de5959c4bccefc93d16d260381c0f7009b28b66bc66cd7ca47d6010c9905e24e"
             "03f1f007236f37423c7baa5a779e9cb6c7997f1581bc4b7f149127bcf1da3958");
+}
+
+// Public values of the two key pairs above: DhKeyPair::generate takes them
+// from the group's fixed-base table, and they must match the values the
+// 4-bit-window powmod produced.
+TEST(Bignum, GoldenOakley1PublicKeys) {
+  HmacDrbg drbg(to_bytes("golden-oakley1"));
+  const DhGroup& group = DhGroup::oakley1();
+  const DhKeyPair a = DhKeyPair::generate(group, drbg);
+  const DhKeyPair b = DhKeyPair::generate(group, drbg);
+  EXPECT_EQ(a.private_key.to_hex(),
+            "85c9dac5966196f56fc908ab25d5f439198055b716e2e80d6d2766770454847a");
+  EXPECT_EQ(a.public_key.to_hex(),
+            "9915fccd3d46b6dfdf46f849325d253637845f5ac5aa7a5abf80e110cf5a07ce"
+            "a4daad4a433467bdf100bbd521132d2ff540c803da628ef29b4f2be39fc56c23"
+            "4587ad351d2567e62ffe62f047843df5ee0126077dd44e2eb57adc4e17e59e75");
+  EXPECT_EQ(b.private_key.to_hex(),
+            "81484a0c794b4f034e3363c9ae3ab8e2972e03df2f08ee02af7dbf98821e8158");
+  EXPECT_EQ(b.public_key.to_hex(),
+            "713c04d7fd530cc188a36f4d94d590747fcd1dcaee46f406283895a0b094c7a1"
+            "ff12eeda7aa542c6db67f5c7be37e417a5548ffac787801298cdac1cd3818e64"
+            "bde423596cdfc241719e3ca4ca80f892e1e2203f794b017d5ec1cd8195d06824");
 }
 
 TEST(Bignum, GcdKnown) {

@@ -1,9 +1,13 @@
 // Diffie-Hellman agreement and Merkle tree properties.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "crypto/dh.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
+#include "crypto/rsa.h"
 #include "util/rng.h"
 
 namespace lateral::crypto {
@@ -59,6 +63,77 @@ TEST(Dh, PublicKeyInGroup) {
     const DhKeyPair kp = DhKeyPair::generate(group, drbg);
     EXPECT_LT(kp.public_key, group.p);
     EXPECT_GT(kp.public_key, Bignum(1));
+  }
+}
+
+// generate takes g^x from the group's fixed-base table; it must equal the
+// window exponentiation for every seeded x.
+TEST(Dh, PublicKeyEqualsPowmod) {
+  HmacDrbg drbg(to_bytes("dh6"));
+  const DhGroup& group = DhGroup::oakley1();
+  for (int i = 0; i < 16; ++i) {
+    const DhKeyPair kp = DhKeyPair::generate(group, drbg);
+    EXPECT_EQ(kp.private_key.bit_length(), DhGroup::kPrivateKeyBits);
+    EXPECT_EQ(kp.public_key, group.g.powmod(kp.private_key, group.p));
+  }
+}
+
+TEST(Dh, GeneratorTableBuiltOncePerGroup) {
+  const DhGroup& group = DhGroup::oakley1();
+  const FixedBaseTable& table = group.generator_table();
+  EXPECT_EQ(&table, &group.generator_table());
+  EXPECT_EQ(table.modulus().value(), group.p);
+  // A second group over the same prime has a table of its own.
+  const DhGroup copy(group.p, group.g);
+  EXPECT_NE(&copy.generator_table(), &table);
+  const Bignum x(0x123456789ABCDEFULL);
+  EXPECT_EQ(copy.generator_table().pow(x), group.g.powmod(x, group.p));
+  EXPECT_EQ(table.pow(x), group.g.powmod(x, group.p));
+}
+
+// Four threads generate key pairs, agree secrets and sign with one shared
+// RSA key, all at once. Their first key pair comes from a fresh group, so
+// they also race to build its table; the rest come from oakley1(). Every
+// result must match the single-threaded reference; the CI
+// thread-sanitizer job runs this suite.
+TEST(Dh, ConcurrentKeyGenerationAndSigning) {
+  const DhGroup& group = DhGroup::oakley1();
+  const DhGroup fresh(group.p, group.g);
+  HmacDrbg key_drbg(to_bytes("dh-threads-rsa"));
+  const RsaKeyPair signer = RsaKeyPair::generate(key_drbg, 512);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::latch start(kThreads);
+  std::vector<std::vector<DhKeyPair>> pairs(kThreads);
+  std::vector<std::vector<Bytes>> secrets(kThreads), signatures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      HmacDrbg drbg(to_bytes("dh-thread-" + std::to_string(t)));
+      start.arrive_and_wait();
+      for (int r = 0; r < kRounds; ++r) {
+        pairs[t].push_back(DhKeyPair::generate(r == 0 ? fresh : group, drbg));
+        const DhKeyPair& mine = pairs[t].back();
+        auto secret = dh_shared_secret(group, mine.private_key,
+                                       pairs[t].front().public_key);
+        secrets[t].push_back(secret ? *secret : Bytes{});
+        signatures[t].push_back(rsa_sign(signer, mine.public_key.to_bytes()));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(pairs[t].size(), static_cast<std::size_t>(kRounds));
+    for (int r = 0; r < kRounds; ++r) {
+      const DhKeyPair& kp = pairs[t][r];
+      EXPECT_EQ(kp.public_key, group.g.powmod(kp.private_key, group.p));
+      const Bignum expected = pairs[t].front().public_key.powmod(
+          kp.private_key, group.p);
+      EXPECT_EQ(Bignum::from_bytes(secrets[t][r]), expected);
+      EXPECT_TRUE(rsa_verify(signer.pub, kp.public_key.to_bytes(),
+                             signatures[t][r])
+                      .ok());
+    }
   }
 }
 

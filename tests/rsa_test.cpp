@@ -1,11 +1,37 @@
-// RSA signature scheme: correctness, tamper rejection, serialization.
+// RSA signature scheme: correctness, tamper rejection, serialization, and
+// CRT signing against plain exponentiation.
 #include <gtest/gtest.h>
 
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace lateral::crypto {
 namespace {
+
+// The message representative rsa_sign exponentiates, rebuilt from the
+// encoding's definition: 00 01 FF..FF 00 "sha256:" SHA-256(message).
+Bignum message_representative(const RsaPublicKey& pub, BytesView message) {
+  const std::size_t em_len = (pub.n.bit_length() + 7) / 8;
+  const Bytes marker = to_bytes("sha256:");
+  const Digest digest = Sha256::hash(message);
+  Bytes em = {0x00, 0x01};
+  em.insert(em.end(), em_len - marker.size() - digest.size() - 3, 0xFF);
+  em.push_back(0x00);
+  em.insert(em.end(), marker.begin(), marker.end());
+  em.insert(em.end(), digest.begin(), digest.end());
+  return Bignum::from_bytes(em);
+}
+
+// rsa_sign's CRT result must be em^d mod n exactly.
+void expect_crt_matches_plain(const RsaKeyPair& key, BytesView message) {
+  const Bignum em = message_representative(key.pub, message);
+  ASSERT_GE(em, key.p);  // the half-size exponentiations reduce em first
+  ASSERT_GE(em, key.q);
+  EXPECT_EQ(Bignum::from_bytes(rsa_sign(key, message)),
+            em.powmod(key.d, key.pub.n))
+      << key.pub.n.to_hex();
+}
 
 class RsaTest : public ::testing::Test {
  protected:
@@ -64,6 +90,50 @@ TEST_F(RsaTest, LargeMessageSignable) {
   const Bytes big(100'000, 0x42);
   const Bytes sig = rsa_sign(keypair(), big);
   EXPECT_TRUE(rsa_verify(keypair().pub, big, sig).ok());
+}
+
+TEST_F(RsaTest, CrtComponentsAreConsistent) {
+  const RsaKeyPair& key = keypair();
+  const Bignum one(1);
+  EXPECT_EQ(key.p * key.q, key.pub.n);
+  EXPECT_EQ(key.dp, key.d % (key.p - one));
+  EXPECT_EQ(key.dq, key.d % (key.q - one));
+  EXPECT_EQ(key.q.mulmod(key.qinv, key.p), one);
+}
+
+// 50 seeded 512-bit keys, four messages each, and one 1024-bit key. About
+// half of the keys have p < q, where Garner's formula needs its +p, and
+// its m2 mod p whenever em^dq mod q lands above p + m1.
+TEST_F(RsaTest, CrtSignatureMatchesPlainExponentiation) {
+  HmacDrbg drbg(to_bytes("crt-differential"));
+  int p_greater = 0, q_greater = 0;
+  for (int i = 0; i < 50; ++i) {
+    const RsaKeyPair key = RsaKeyPair::generate(drbg, 512);
+    (key.p > key.q ? p_greater : q_greater) += 1;
+    for (int j = 0; j < 4; ++j)
+      expect_crt_matches_plain(
+          key, to_bytes("crt message " + std::to_string(4 * i + j)));
+  }
+  EXPECT_GT(p_greater, 0);
+  EXPECT_GT(q_greater, 0);
+  const RsaKeyPair big = RsaKeyPair::generate(drbg, 1024);
+  for (int i = 0; i < 4; ++i)
+    expect_crt_matches_plain(big, to_bytes("crt 1024 " + std::to_string(i)));
+}
+
+// Boneh-DeMillo-Lipton: a signature computed from a faulty CRT half would
+// reveal a factor of n, so rsa_sign must throw rather than return it.
+TEST_F(RsaTest, CrtFaultCheckWithholdsFaultySignature) {
+  RsaKeyPair bad_dp = keypair();
+  bad_dp.dp = bad_dp.dp + Bignum(1);
+  EXPECT_THROW(rsa_sign(bad_dp, to_bytes("msg")), Error);
+  RsaKeyPair bad_qinv = keypair();
+  bad_qinv.qinv = bad_qinv.qinv + Bignum(1);
+  EXPECT_THROW(rsa_sign(bad_qinv, to_bytes("msg")), Error);
+  // The untouched key still signs.
+  EXPECT_TRUE(rsa_verify(keypair().pub, to_bytes("msg"),
+                         rsa_sign(keypair(), to_bytes("msg")))
+                  .ok());
 }
 
 TEST_F(RsaTest, PublicKeySerializationRoundTrip) {
