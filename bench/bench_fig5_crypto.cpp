@@ -143,7 +143,12 @@ void BM_BignumPowmod(benchmark::State& state) {
   const Bignum exp = Bignum::random_below(drbg, m);
   for (auto _ : state) benchmark::DoNotOptimize(base.powmod(exp, m));
 }
-BENCHMARK(BM_BignumPowmod)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BignumPowmod)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(768)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "util/hex.h"
 
 namespace lateral::crypto {
@@ -263,11 +264,124 @@ Bignum Bignum::mulmod(const Bignum& rhs, const Bignum& m) const {
   return ((*this) * rhs) % m;
 }
 
+namespace kernels {
+namespace {
+
+using Wide = unsigned __int128;
+
+// The three-word column accumulator of product scanning: a column sums up to
+// 2n double-word products, which overflow two words, so `hi` counts the
+// carries out of `lo`.
+struct Column {
+  Wide lo = 0;
+  std::uint64_t hi = 0;
+
+  void add(Wide product) {
+    lo += product;
+    hi += lo < product;
+  }
+  void add(const Column& other) {
+    add(other.lo);
+    hi += other.hi;
+  }
+  void twice() {
+    hi = (hi << 1) | static_cast<std::uint64_t>(lo >> 127);
+    lo <<= 1;
+  }
+  std::uint64_t low() const { return static_cast<std::uint64_t>(lo); }
+  /// Returns the low word and moves the accumulator down by one word.
+  std::uint64_t shift() {
+    const std::uint64_t word = low();
+    lo = (lo >> 64) | (Wide(hi) << 64);
+    hi = 0;
+    return word;
+  }
+};
+
+// out = a*b*R^-1 mod m for a, b < m, by finely integrated product scanning
+// (FIPS): column k of the 2n-word sum a*b + u*m gathers every a[j]*b[k-j]
+// and u[j]*m[k-j] at once, where u[k] = column k * -m^-1 mod 2^64 cancels
+// the low column k < n; columns n..2n-1 are the result. Square computes
+// a*a, each cross product a[j]*a[k-j] (j < k-j) once and doubled. N fixes
+// the width at compile time, and the unroll hints then turn every loop
+// into straight-line code; N == 0 takes the width from `words`, with
+// `scratch` (2n words) holding u and the result. out may alias a or b.
+template <std::size_t N, bool Square>
+void fips(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+          const std::uint64_t* m, std::uint64_t m_inv, std::size_t words,
+          std::uint64_t* scratch) {
+  const std::size_t n = N ? N : words;
+  std::uint64_t fixed[N ? 2 * N : 1] = {};
+  std::uint64_t* u = N ? fixed : scratch;
+  std::uint64_t* r = N ? fixed + N : scratch + n;
+  Column acc;
+#pragma GCC unroll 32
+  for (std::size_t k = 0; k + 1 < 2 * n; ++k) {
+    // Column k pairs indices j and k-j with both in [first, last].
+    const std::size_t first = k < n ? 0 : k + 1 - n;
+    const std::size_t last = k < n ? k : n - 1;
+    if constexpr (Square) {
+      Column cross;
+#pragma GCC unroll 16
+      for (std::size_t j = first; j < k - j; ++j)
+        cross.add(Wide(a[j]) * a[k - j]);
+      cross.twice();
+      if (k % 2 == 0) cross.add(Wide(a[k / 2]) * a[k / 2]);
+      acc.add(cross);
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t j = first; j <= last; ++j)
+        acc.add(Wide(a[j]) * b[k - j]);
+    }
+    // While k < n, u[k] is not known yet: it is the word that cancels
+    // this column once the other reduction products are in.
+    const std::size_t known = k < n ? k : n;
+#pragma GCC unroll 16
+    for (std::size_t j = first; j < known; ++j)
+      acc.add(Wide(u[j]) * m[k - j]);
+    if (k < n) {
+      u[k] = acc.low() * m_inv;
+      acc.add(Wide(u[k]) * m[0]);
+      acc.shift();  // zero
+    } else {
+      r[k - n] = acc.shift();
+    }
+  }
+  r[n - 1] = acc.shift();
+  const std::uint64_t top = acc.low();
+  // top:r < 2m: subtract m once unless r < m (top clear and the
+  // subtraction borrows).
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Wide diff = Wide(r[j]) - m[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+  }
+  if (borrow > top) std::copy(r, r + n, out);
+}
+
+template <std::size_t N>
+constexpr MontgomeryKernels kFips = {&fips<N, false>, &fips<N, true>};
+
+}  // namespace
+
+MontgomeryKernels montgomery_kernels(std::size_t n) {
+  switch (n) {
+    case 4: return kFips<4>;
+    case 8: return kFips<8>;
+    case 12: return kFips<12>;
+    case 16: return kFips<16>;
+    default: return kFips<0>;
+  }
+}
+
+}  // namespace kernels
+
 // Montgomery arithmetic modulo an odd m > 1, in 64-bit words with
 // 128-bit intermediates: for an n-word m, R = 2^(64n), and a value x is held
-// in Montgomery form as the n words of x*R mod m. Multiplication is CIOS
-// (coarsely integrated operand scanning), which interleaves the product with
-// the reduction. The context holds only constants; every operation takes its
+// in Montgomery form as the n words of x*R mod m. Multiplication and
+// squaring are the fips kernels above, picked once per context by m's word
+// count. The context holds only constants; every operation takes its
 // scratch from the caller or allocates its own, so one context may serve
 // many threads.
 class Bignum::Montgomery {
@@ -278,7 +392,8 @@ class Bignum::Montgomery {
       : modulus_(m),
         m_(pack(m, (m.limbs_.size() + 1) / 2)),
         one_(pack((Bignum(1) << (64 * m_.size())) % m, m_.size())),
-        r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())) {
+        r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())),
+        kernels_(kernels::montgomery_kernels(m_.size())) {
     // Newton's iteration for m^-1 mod 2^64: m0 is its own inverse mod 2^3,
     // and each step doubles the correct low bits (3 -> 6 -> ... -> 96).
     const std::uint64_t m0 = m_[0];
@@ -292,8 +407,8 @@ class Bignum::Montgomery {
   /// Words per residue.
   std::size_t size() const { return m_.size(); }
 
-  /// A CIOS accumulator for mul.
-  Words scratch() const { return Words(m_.size() + 2); }
+  /// Scratch words for mul and sqr.
+  Words scratch() const { return Words(2 * m_.size()); }
 
   /// R mod m: the Montgomery form of 1.
   const Words& one() const { return one_; }
@@ -321,81 +436,59 @@ class Bignum::Montgomery {
     return from_limbs(std::move(limbs));
   }
 
-  /// out = a*b*R^-1 mod m, for a, b < m, with t a scratch() accumulator.
+  /// out = a*b*R^-1 mod m, for a, b < m, with t a scratch() buffer.
   /// out may alias a or b.
   void mul(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
            std::uint64_t* t) const {
-    using Wide = unsigned __int128;
-    const std::size_t n = m_.size();
-    std::fill(t, t + n + 2, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      // t += a * b[i]
-      std::uint64_t carry = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const Wide cur = Wide(a[j]) * b[i] + t[j] + carry;
-        t[j] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      Wide cur = Wide(t[n]) + carry;
-      t[n] = static_cast<std::uint64_t>(cur);
-      t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
-      // t = (t + q*m) / 2^64, with q chosen so the low word cancels.
-      const std::uint64_t q = t[0] * m_inv_;
-      cur = Wide(q) * m_[0] + t[0];
-      carry = static_cast<std::uint64_t>(cur >> 64);
-      for (std::size_t j = 1; j < n; ++j) {
-        cur = Wide(q) * m_[j] + t[j] + carry;
-        t[j - 1] = static_cast<std::uint64_t>(cur);
-        carry = static_cast<std::uint64_t>(cur >> 64);
-      }
-      cur = Wide(t[n]) + carry;
-      t[n - 1] = static_cast<std::uint64_t>(cur);
-      t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
-    }
-    // t < 2m: one conditional subtraction brings it below m.
-    bool ge = t[n] != 0;
-    if (!ge) {
-      ge = true;
-      for (std::size_t j = n; j-- > 0;) {
-        if (t[j] != m_[j]) {
-          ge = t[j] > m_[j];
-          break;
-        }
-      }
-    }
-    if (ge) {
-      std::uint64_t borrow = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const Wide diff = Wide(t[j]) - m_[j] - borrow;
-        t[j] = static_cast<std::uint64_t>(diff);
-        borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
-      }
-    }
-    std::copy(t, t + n, out);
+    kernels_.mul(out, a, b, m_.data(), m_inv_, m_.size(), t);
   }
 
-  /// base^e in Montgomery form, for base in Montgomery form. A fixed 4-bit
-  /// window multiplies by table[digit] on every window (table[0] = R), so
-  /// the sequence of operations depends only on e's bit length.
+  /// out = a*a*R^-1 mod m; mul(out, a, a, t) with fewer products.
+  void sqr(std::uint64_t* out, const std::uint64_t* a, std::uint64_t* t) const {
+    kernels_.sqr(out, a, a, m_.data(), m_inv_, m_.size(), t);
+  }
+
+  /// base^e in Montgomery form, for base in Montgomery form.
   Words pow(const Words& base, const Bignum& e) const {
-    const std::size_t windows = (e.bit_length() + 3) / 4;
-    if (windows == 0) return one_;
-    const std::size_t n = m_.size();
+    const std::size_t bits = e.bit_length();
+    if (bits == 0) return one_;
     Words t = scratch();
+    if (bits <= 64) {
+      // Left-to-right square-and-multiply, no table: 17 operations for
+      // e = 65537 against ~34 for the window below, but the sequence
+      // follows e's bits. Every exponent this short is public here: e in
+      // rsa_verify and in rsa_sign's fault check. The secret ones (DH x
+      // at 256 bits, RSA d, dp and dq at about the size of n or p) are far
+      // longer and take the window.
+      Words acc = base;
+      for (std::size_t i = bits - 1; i-- > 0;) {
+        sqr(acc.data(), acc.data(), t.data());
+        if (e.bit(i)) mul(acc.data(), acc.data(), base.data(), t.data());
+      }
+      return acc;
+    }
+    // A fixed 4-bit window multiplies by table[digit] on every window
+    // (table[0] = R), so the sequence of operations depends only on e's
+    // bit length.
+    const std::size_t n = m_.size();
+    const std::size_t windows = (bits + 3) / 4;
     Words table(16 * n);  // base^0..base^15, one residue per n words
     const auto entry = [&](std::size_t k) { return table.data() + k * n; };
     std::copy(one_.begin(), one_.end(), entry(0));
     std::copy(base.begin(), base.end(), entry(1));
-    for (std::size_t k = 2; k < 16; ++k)
-      mul(entry(k), entry(k - 1), base.data(), t.data());
+    for (std::size_t k = 2; k < 16; ++k) {
+      if (k % 2 == 0)
+        sqr(entry(k), entry(k / 2), t.data());
+      else
+        mul(entry(k), entry(k - 1), base.data(), t.data());
+    }
     // 4-bit windows never straddle a 32-bit limb.
     const auto digit = [&](std::size_t w) {
       return (e.limbs_[w / 8] >> (4 * (w % 8))) & 0xF;
     };
     Words acc(entry(digit(windows - 1)), entry(digit(windows - 1)) + n);
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (int i = 0; i < 4; ++i)
-        mul(acc.data(), acc.data(), acc.data(), t.data());
+      for (int i = 0; i < 4; ++i) sqr(acc.data(), acc.data(), t.data());
       mul(acc.data(), acc.data(), entry(digit(w)), t.data());
     }
     return acc;
@@ -415,6 +508,7 @@ class Bignum::Montgomery {
   std::uint64_t m_inv_{};   // -m^-1 mod 2^64
   Words one_;               // R mod m
   Words r2_;                // R^2 mod m, for to_mont
+  kernels::MontgomeryKernels kernels_;
 };
 
 Bignum Bignum::powmod(const Bignum& exponent, const Bignum& m) const {
@@ -464,13 +558,18 @@ FixedBaseTable::FixedBaseTable(MontgomeryModulus m, const Bignum& g,
   Bignum::Montgomery::Words t = mont.scratch();
   const Bignum::Montgomery::Words g_mont = mont.to_mont(g);
   for (std::size_t row = 0; row < rows_; ++row) {
-    // g^(16^row): g itself, then g^(15*16^(row-1)) * g^(16^(row-1)).
+    // g^(16^row): g itself, then the square of g^(8*16^(row-1)).
     if (row == 0)
       std::copy(g_mont.begin(), g_mont.end(), entry(0, 1));
     else
-      mont.mul(entry(row, 1), entry(row - 1, 15), entry(row - 1, 1), t.data());
-    for (std::size_t d = 2; d <= 15; ++d)
-      mont.mul(entry(row, d), entry(row, d - 1), entry(row, 1), t.data());
+      mont.sqr(entry(row, 1), entry(row - 1, 8), t.data());
+    // Even digits square half their digit, odd ones multiply by g^(16^row).
+    for (std::size_t d = 2; d <= 15; ++d) {
+      if (d % 2 == 0)
+        mont.sqr(entry(row, d), entry(row, d / 2), t.data());
+      else
+        mont.mul(entry(row, d), entry(row, d - 1), entry(row, 1), t.data());
+    }
   }
 }
 
@@ -591,7 +690,7 @@ bool Bignum::is_probable_prime(HmacDrbg& drbg, int rounds) const {
     Montgomery::Words x = mont.pow(mont.to_mont(a), d);
     if (x == one || x == minus_one) return false;  // not a witness
     for (std::size_t i = 1; i < s; ++i) {
-      mont.mul(x.data(), x.data(), x.data(), t.data());
+      mont.sqr(x.data(), x.data(), t.data());
       if (x == minus_one) return false;
     }
     return true;  // composite witnessed

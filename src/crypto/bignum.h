@@ -5,9 +5,15 @@
 // net::SecureChannel. Little-endian 32-bit limbs, 64-bit intermediates;
 // division is Knuth Algorithm D. powmod with an odd modulus (every RSA and
 // DH modulus) and the Miller-Rabin test run in Montgomery form: 64-bit
-// words, CIOS multiplication and a fixed 4-bit window. MontgomeryModulus
-// keeps the per-modulus constants of that form across calls, and
-// FixedBaseTable raises one fixed base (the DH generator) with a
+// words and one product-scanning (FIPS) multiply with a three-word column
+// accumulator, also as a squaring that computes each cross product once.
+// Its body is instantiated at 4, 8, 12 and 16 words (RSA-512/1024 and their
+// CRT halves, Oakley-1 DH) and at runtime width for every other size.
+// Exponents of more than 64 bits take a fixed 4-bit window, whose sequence
+// of operations depends only on their bit length; shorter ones, which here
+// are only public RSA exponents, take square-and-multiply with no table.
+// MontgomeryModulus keeps the per-modulus constants of that form across
+// calls, and FixedBaseTable raises one fixed base (the DH generator) with a
 // precomputed table instead of squarings.
 #pragma once
 
@@ -76,7 +82,8 @@ class Bignum {
   Bignum mulmod(const Bignum& rhs, const Bignum& m) const;
 
   /// this^exponent mod m. m must be nonzero. An odd m uses Montgomery
-  /// form with a fixed 4-bit window; an even m, square-and-multiply.
+  /// form with a fixed 4-bit window, or square-and-multiply for exponents
+  /// of at most 64 bits; an even m, square-and-multiply.
   Bignum powmod(const Bignum& exponent, const Bignum& m) const;
 
   /// Greatest common divisor.

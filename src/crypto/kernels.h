@@ -1,9 +1,12 @@
-// Symmetric-crypto compute kernels, internal to src/crypto and its tests.
+// Crypto compute kernels, internal to src/crypto and its tests.
 //
-// Each kernel has a portable reference and, on x86-64, a hardware version
-// (SHA-NI, AES-NI). Sha256 and Aes128 pick one on first use, once per
-// process, from the CPU's feature flags; the picked kernel never changes an
-// output byte, only how fast it is produced.
+// Each symmetric kernel has a portable reference and, on x86-64, a hardware
+// version (SHA-NI, AES-NI). Sha256 and Aes128 pick one on first use, once
+// per process, from the CPU's feature flags; the picked kernel never changes
+// an output byte, only how fast it is produced.
+//
+// The Montgomery kernels behind Bignum's odd-modulus arithmetic are
+// portable C++ only; a context picks them by the modulus's word count.
 #pragma once
 
 #include <cstddef>
@@ -42,5 +45,23 @@ void sha256_shani(std::uint32_t state[8], const std::uint8_t* blocks,
                   std::size_t count);
 void aes128_aesni(const std::uint8_t round_keys[176], std::uint8_t block[16]);
 #endif
+
+/// out = a*b*2^(-64n) mod m, for an odd n-word m, a, b < m and m_inv =
+/// -m^-1 mod 2^64; `scratch` holds 2n words. out may alias a or b.
+using MontgomeryKernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
+                                  const std::uint64_t* b,
+                                  const std::uint64_t* m, std::uint64_t m_inv,
+                                  std::size_t n, std::uint64_t* scratch);
+
+/// One product-scanning body (bignum.cpp), as a multiply and as a squaring
+/// (`sqr` reads only a and returns mul(a, a) with fewer products).
+struct MontgomeryKernels {
+  MontgomeryKernel mul;
+  MontgomeryKernel sqr;
+};
+
+/// The kernels for an n-word modulus: the body instantiated at n for
+/// n = 4, 8, 12 and 16, at runtime width for every other n.
+MontgomeryKernels montgomery_kernels(std::size_t n);
 
 }  // namespace lateral::crypto::kernels

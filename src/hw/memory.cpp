@@ -6,14 +6,39 @@
 namespace lateral::hw {
 
 PhysicalMemory::PhysicalMemory(std::size_t total_bytes)
-    : storage_(total_bytes, 0) {}
+    : size_(total_bytes), pages_((total_bytes + kPageSize - 1) / kPageSize) {}
+
+void PhysicalMemory::copy_out(PhysAddr addr, std::size_t len,
+                              Bytes& out) const {
+  out.assign(len, 0);
+  for (std::size_t done = 0; done < len;) {
+    const PhysAddr at = addr + done;
+    const std::size_t offset = at % kPageSize;
+    const std::size_t n = std::min(len - done, kPageSize - offset);
+    if (const Page* page = pages_[at / kPageSize].get())
+      std::copy_n(page->data() + offset, n, out.data() + done);
+    done += n;
+  }
+}
+
+void PhysicalMemory::copy_in(PhysAddr addr, BytesView data) {
+  for (std::size_t done = 0; done < data.size();) {
+    const PhysAddr at = addr + done;
+    const std::size_t offset = at % kPageSize;
+    const std::size_t n = std::min(data.size() - done, kPageSize - offset);
+    std::unique_ptr<Page>& page = pages_[at / kPageSize];
+    if (!page) page = std::make_unique<Page>();  // value-initialized: zeros
+    std::copy_n(data.data() + done, n, page->data() + offset);
+    done += n;
+  }
+}
 
 Result<Range> PhysicalMemory::add_region(const std::string& name,
                                          PhysAddr begin, std::size_t length,
                                          RegionAttributes attrs) {
   if (begin % kPageSize != 0 || length % kPageSize != 0)
     return Errc::invalid_argument;
-  if (begin + length > storage_.size() || begin + length < begin)
+  if (begin + length > size_ || begin + length < begin)
     return Errc::invalid_argument;
   const Range range{begin, begin + length};
   for (const auto& existing : regions_) {
@@ -46,7 +71,7 @@ Result<RegionAttributes> PhysicalMemory::attributes_at(PhysAddr addr) const {
 
 Status PhysicalMemory::set_page_owner(PhysAddr page_addr,
                                       std::uint64_t owner_tag) {
-  if (page_addr % kPageSize != 0 || page_addr >= storage_.size())
+  if (page_addr % kPageSize != 0 || page_addr >= size_)
     return Errc::invalid_argument;
   if (owner_tag == 0)
     page_owner_.erase(page_addr);
@@ -62,7 +87,7 @@ std::uint64_t PhysicalMemory::page_owner(PhysAddr page_addr) const {
 
 Status PhysicalMemory::check(const AccessContext& ctx, PhysAddr addr,
                              std::size_t len, bool is_write) const {
-  if (addr + len > storage_.size() || addr + len < addr)
+  if (addr + len > size_ || addr + len < addr)
     return Errc::invalid_argument;
   // Walk the access page by page: attributes and owner tags are
   // page-granular.
@@ -85,8 +110,7 @@ Status PhysicalMemory::read(const AccessContext& ctx, PhysAddr addr,
                             std::size_t len, Bytes& out) const {
   if (const Status s = check(ctx, addr, len, /*is_write=*/false); !s.ok())
     return s;
-  out.assign(storage_.begin() + static_cast<long>(addr),
-             storage_.begin() + static_cast<long>(addr + len));
+  copy_out(addr, len, out);
   return Status::success();
 }
 
@@ -95,14 +119,13 @@ Status PhysicalMemory::write(const AccessContext& ctx, PhysAddr addr,
   if (const Status s = check(ctx, addr, data.size(), /*is_write=*/true);
       !s.ok())
     return s;
-  std::copy(data.begin(), data.end(),
-            storage_.begin() + static_cast<long>(addr));
+  copy_in(addr, data);
   return Status::success();
 }
 
 Status PhysicalMemory::raw_read(PhysAddr addr, std::size_t len,
                                 Bytes& out) const {
-  if (addr + len > storage_.size() || addr + len < addr)
+  if (addr + len > size_ || addr + len < addr)
     return Errc::invalid_argument;
   // Physical probing cannot reach on-chip memory.
   for (PhysAddr cursor = addr & ~(std::uint64_t(kPageSize) - 1);
@@ -110,36 +133,34 @@ Status PhysicalMemory::raw_read(PhysAddr addr, std::size_t len,
     const NamedRegion* r = find_region(cursor);
     if (r && r->attrs.on_chip) return Errc::access_denied;
   }
-  out.assign(storage_.begin() + static_cast<long>(addr),
-             storage_.begin() + static_cast<long>(addr + len));
+  copy_out(addr, len, out);
   return Status::success();
 }
 
 Status PhysicalMemory::raw_write(PhysAddr addr, BytesView data) {
-  if (addr + data.size() > storage_.size() || addr + data.size() < addr)
+  if (addr + data.size() > size_ || addr + data.size() < addr)
     return Errc::invalid_argument;
   for (PhysAddr cursor = addr & ~(std::uint64_t(kPageSize) - 1);
        cursor < addr + data.size(); cursor += kPageSize) {
     const NamedRegion* r = find_region(cursor);
     if (r && r->attrs.on_chip) return Errc::access_denied;
   }
-  std::copy(data.begin(), data.end(),
-            storage_.begin() + static_cast<long>(addr));
+  copy_in(addr, data);
   return Status::success();
 }
 
 void PhysicalMemory::load(PhysAddr addr, BytesView data) {
-  if (addr + data.size() > storage_.size())
+  if (addr + data.size() > size_)
     throw Error("PhysicalMemory::load out of bounds");
-  std::copy(data.begin(), data.end(),
-            storage_.begin() + static_cast<long>(addr));
+  copy_in(addr, data);
 }
 
 Bytes PhysicalMemory::dump(PhysAddr addr, std::size_t len) const {
-  if (addr + len > storage_.size())
+  if (addr + len > size_)
     throw Error("PhysicalMemory::dump out of bounds");
-  return Bytes(storage_.begin() + static_cast<long>(addr),
-               storage_.begin() + static_cast<long>(addr + len));
+  Bytes out;
+  copy_out(addr, len, out);
+  return out;
 }
 
 FrameAllocator::FrameAllocator(Range range)

@@ -10,8 +10,10 @@
 // only by accesses carrying that tag.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,7 +57,7 @@ class PhysicalMemory {
  public:
   explicit PhysicalMemory(std::size_t total_bytes);
 
-  std::size_t size() const { return storage_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Define a named region with attributes. Regions must not overlap.
   /// Returns the range. Errc::invalid_argument on overlap/misalignment.
@@ -97,8 +99,16 @@ class PhysicalMemory {
   const NamedRegion* find_region(PhysAddr addr) const;
   Status check(const AccessContext& ctx, PhysAddr addr, std::size_t len,
                bool is_write) const;
+  /// Unchecked copies; the range must lie within size().
+  void copy_out(PhysAddr addr, std::size_t len, Bytes& out) const;
+  void copy_in(PhysAddr addr, BytesView data);
 
-  Bytes storage_;
+  // A page's storage is allocated by the first write to it; a page never
+  // written reads as zeros. Simulated memory a workload never touches thus
+  // costs the host neither resident memory nor zero-filling.
+  using Page = std::array<std::uint8_t, kPageSize>;
+  std::size_t size_;
+  std::vector<std::unique_ptr<Page>> pages_;
   std::vector<NamedRegion> regions_;
   std::map<PhysAddr, std::uint64_t> page_owner_;  // page addr -> tag
 };

@@ -6,6 +6,7 @@
 #include "crypto/bignum.h"
 #include "crypto/dh.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/rsa.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -317,6 +318,149 @@ TEST(Bignum, MontgomeryModulusMatchesPowmod) {
   }
   EXPECT_THROW(MontgomeryModulus(Bignum(1)), Error);
   EXPECT_THROW(MontgomeryModulus(Bignum(10)), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The Montgomery kernels against Knuth division, at the four fixed widths and
+// the runtime widths around them.
+
+using Words = std::vector<std::uint64_t>;
+
+const std::size_t kKernelWidths[] = {1, 2,  3,  4,  5,  7,  8,
+                                     9, 11, 12, 13, 15, 16, 17};
+
+Bignum from_words(const Words& w) {
+  Bytes raw(8 * w.size());
+  for (std::size_t i = 0; i < w.size(); ++i)
+    for (std::size_t b = 0; b < 8; ++b)
+      raw[raw.size() - 1 - 8 * i - b] = static_cast<std::uint8_t>(w[i] >> (8 * b));
+  return Bignum::from_bytes(raw);
+}
+
+Words to_words(const Bignum& x, std::size_t n) {
+  const Bytes raw = *x.to_bytes_padded(8 * n);
+  Words w(n, 0);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const std::size_t from_lsb = raw.size() - 1 - i;
+    w[from_lsb / 8] |= std::uint64_t(raw[i]) << (8 * (from_lsb % 8));
+  }
+  return w;
+}
+
+// Odd n-word moduli: seeded random with the top bit set, all ones, and all
+// ones above a low word that is random or 1. In the last shapes every
+// column of the product-scanning sum carries as far as it can.
+std::vector<Words> kernel_moduli(util::Xoshiro& rng, std::size_t n) {
+  std::vector<Words> moduli;
+  Words random(n);
+  for (auto& w : random) w = rng.next();
+  random[0] |= 1;
+  random[n - 1] |= std::uint64_t(1) << 63;
+  moduli.push_back(random);
+  Words ones(n, ~std::uint64_t(0));
+  moduli.push_back(ones);
+  ones[0] = rng.next() | 1;
+  moduli.push_back(ones);
+  if (n > 1) {
+    ones[0] = 1;
+    moduli.push_back(ones);
+  }
+  return moduli;
+}
+
+TEST(MontgomeryKernels, MatchKnuthDivision) {
+  util::Xoshiro rng(19);
+  for (const std::size_t n : kKernelWidths) {
+    const kernels::MontgomeryKernels k = kernels::montgomery_kernels(n);
+    for (const Words& m_words : kernel_moduli(rng, n)) {
+      const Bignum m = from_words(m_words);
+      const Bignum r = Bignum(1) << (64 * n);
+      // -m^-1 mod 2^64 from Euclid, not the library's Newton iteration.
+      const Bignum two64 = Bignum(1) << 64;
+      const Bignum inv = *Bignum(m_words[0]).invmod(two64);
+      const std::uint64_t m_inv = to_words(two64 - inv, 2)[0];
+      std::vector<Bignum> operands = {Bignum(), Bignum(1), m - Bignum(1)};
+      for (int i = 0; i < 4; ++i)
+        operands.push_back(Bignum::from_bytes(rng.bytes(8 * n + 8)) % m);
+      Words scratch(2 * n), out(n), sq(n);
+      for (const Bignum& a : operands) {
+        const Words a_words = to_words(a, n);
+        for (const Bignum& b : operands) {
+          const Words b_words = to_words(b, n);
+          k.mul(out.data(), a_words.data(), b_words.data(), m_words.data(),
+                m_inv, n, scratch.data());
+          const Bignum product = from_words(out);
+          EXPECT_LT(product, m) << "n=" << n << " m=" << m.to_hex();
+          EXPECT_EQ((product * r) % m, a.mulmod(b, m))
+              << "n=" << n << " m=" << m.to_hex() << " a=" << a.to_hex()
+              << " b=" << b.to_hex();
+          // out may alias an operand.
+          Words aliased = a_words;
+          k.mul(aliased.data(), aliased.data(), b_words.data(), m_words.data(),
+                m_inv, n, scratch.data());
+          EXPECT_EQ(aliased, out);
+        }
+        k.mul(out.data(), a_words.data(), a_words.data(), m_words.data(),
+              m_inv, n, scratch.data());
+        k.sqr(sq.data(), a_words.data(), a_words.data(), m_words.data(), m_inv,
+              n, scratch.data());
+        EXPECT_EQ(sq, out) << "n=" << n << " m=" << m.to_hex()
+                           << " a=" << a.to_hex();
+        Words aliased = a_words;
+        k.sqr(aliased.data(), aliased.data(), aliased.data(), m_words.data(),
+              m_inv, n, scratch.data());
+        EXPECT_EQ(aliased, out);
+      }
+    }
+  }
+}
+
+// powmod at every kernel width and modulus shape, with windowed (long) and
+// square-and-multiply (at most 64-bit) exponents.
+TEST(MontgomeryKernels, PowmodMatchesMulmodChainAtKernelWidths) {
+  util::Xoshiro rng(20);
+  for (const std::size_t n : kKernelWidths) {
+    for (const Words& m_words : kernel_moduli(rng, n)) {
+      const Bignum m = from_words(m_words);
+      const MontgomeryModulus mod(m);
+      const Bignum base = Bignum::from_bytes(rng.bytes(8 * n + 3));
+      for (const Bignum& e :
+           {Bignum(65537), Bignum::from_bytes(rng.bytes(8)),
+            Bignum::from_bytes(rng.bytes(8 * n + 5))}) {
+        EXPECT_EQ(mod.powmod(base, e), ref_powmod(base, e, m))
+            << "n=" << n << " m=" << m.to_hex() << " e=" << e.to_hex();
+      }
+    }
+  }
+}
+
+// For a prime p and a base coprime to it, b^e = b^(e + (p-1)) mod p. An e of
+// at most 64 bits takes square-and-multiply, e + (p-1) the 4-bit window, so
+// the two paths must agree.
+TEST(MontgomeryKernels, ShortExponentPathMatchesWindow) {
+  HmacDrbg drbg(to_bytes("short-exponent"));
+  std::vector<Bignum> primes = {DhGroup::oakley1().p};
+  for (const std::size_t bits : {130u, 256u, 512u})
+    primes.push_back(Bignum::generate_prime(drbg, bits));
+  util::Xoshiro rng(21);
+  for (const Bignum& p : primes) {
+    const MontgomeryModulus mod(p);
+    const Bignum p_minus_1 = p - Bignum(1);
+    std::vector<Bignum> exponents = {Bignum(1), Bignum(2), Bignum(3),
+                                     Bignum(65537), Bignum(1) << 63,
+                                     all_ones(64)};
+    for (int i = 0; i < 6; ++i)
+      exponents.push_back(Bignum(rng.next()) >> rng.below(64));
+    for (const Bignum& base :
+         {Bignum(2), p_minus_1, Bignum::random_below(drbg, p_minus_1) + Bignum(1)}) {
+      for (const Bignum& e : exponents) {
+        const Bignum short_path = mod.powmod(base, e);
+        EXPECT_EQ(short_path, mod.powmod(base, e + p_minus_1))
+            << "p=" << p.to_hex() << " e=" << e.to_hex();
+        EXPECT_EQ(short_path, ref_powmod(base, e, p)) << e.to_hex();
+      }
+    }
+  }
 }
 
 // The fixed-base table against powmod: seeded full-width exponents, the

@@ -41,6 +41,26 @@ TEST(PhysicalMemory, ReadWriteRoundTrip) {
   EXPECT_EQ(to_string(out), "hello");
 }
 
+// Pages get storage on their first write: a range that spans written and
+// never-written pages reads back the written bytes and zeros elsewhere,
+// through every read path.
+TEST(PhysicalMemory, AccessesSpanPagesAndUnwrittenPagesReadZero) {
+  PhysicalMemory mem(8 * kPageSize);
+  const AccessContext ctx{};
+  const Bytes data = to_bytes("straddles a page boundary");
+  const PhysAddr at = 3 * kPageSize - 10;
+  ASSERT_TRUE(mem.write(ctx, at, data).ok());
+  Bytes out;
+  ASSERT_TRUE(mem.read(ctx, 2 * kPageSize, 3 * kPageSize, out).ok());
+  Bytes expected(3 * kPageSize, 0);
+  std::copy(data.begin(), data.end(), expected.begin() + (kPageSize - 10));
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(mem.dump(2 * kPageSize, 3 * kPageSize), expected);
+  ASSERT_TRUE(mem.raw_read(7 * kPageSize, kPageSize, out).ok());
+  EXPECT_EQ(out, Bytes(kPageSize, 0));
+  EXPECT_FALSE(mem.read(ctx, 8 * kPageSize - 4, 5, out).ok());
+}
+
 TEST(PhysicalMemory, SecureOnlyRegionBlocksNonSecure) {
   PhysicalMemory mem(4 * kPageSize);
   ASSERT_TRUE(mem.add_region("sec", 0, kPageSize, {.secure_only = true}).ok());
