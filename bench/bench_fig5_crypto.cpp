@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "bench_common.h"
 #include "crypto/aes.h"
 #include "crypto/bignum.h"
 #include "crypto/dh.h"
@@ -153,9 +154,12 @@ BENCHMARK(BM_BignumPowmod)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("== FIG5: crypto primitive costs (from-scratch software) ==\n");
-  std::printf("context: these are the costs behind memory encryption\n");
-  std::printf("(AES/16B), measurements (SHA/64B) and quotes (RSA sign).\n\n");
+  if (!bench::machine_readable_output(argc, argv)) {
+    std::printf("== FIG5: crypto primitive costs (from-scratch software) ==\n");
+    std::printf("context: these are the costs behind memory encryption\n");
+    std::printf(
+        "(AES/16B), measurements (SHA/64B) and quotes (RSA sign).\n\n");
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -172,22 +172,28 @@ void Aes128::encrypt_block(AesBlock& block) const {
   aes128_kernel()(round_keys_.data(), block.data());
 }
 
-Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data) {
-  Bytes out(data.begin(), data.end());
+void aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView in,
+                std::uint8_t* out) {
   AesBlock counter_block{};
   for (int i = 0; i < 8; ++i)
     counter_block[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
 
   std::uint64_t counter = 0;
-  for (std::size_t offset = 0; offset < out.size(); offset += 16) {
+  for (std::size_t offset = 0; offset < in.size(); offset += 16) {
     AesBlock keystream = counter_block;
     for (int i = 0; i < 8; ++i)
       keystream[8 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
     cipher.encrypt_block(keystream);
-    const std::size_t n = std::min<std::size_t>(16, out.size() - offset);
-    for (std::size_t i = 0; i < n; ++i) out[offset + i] ^= keystream[i];
+    const std::size_t n = std::min<std::size_t>(16, in.size() - offset);
+    for (std::size_t i = 0; i < n; ++i)
+      out[offset + i] = in[offset + i] ^ keystream[i];
     ++counter;
   }
+}
+
+Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data) {
+  Bytes out(data.size());
+  aes128_ctr(cipher, nonce, data, out.data());
   return out;
 }
 
@@ -202,43 +208,58 @@ Aead::Aead(BytesView key_material)
     : keys_(hkdf(to_bytes("lateral.aead.v1"), key_material,
                  to_bytes("enc+mac"), 48)) {}
 
-std::array<std::uint8_t, 16> Aead::compute_tag(std::uint64_t nonce,
-                                               BytesView aad,
-                                               BytesView ciphertext) const {
+AeadTag Aead::compute_tag(std::uint64_t nonce, BytesView aad,
+                          BytesView ciphertext) const {
   Hmac mac = keys_.mac;
-  std::uint8_t nonce_be[8];
-  for (int i = 0; i < 8; ++i)
-    nonce_be[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-  mac.update(BytesView(nonce_be, 8));
-  // Length-prefix the AAD so (aad, ct) boundaries are unambiguous.
-  std::uint8_t aad_len_be[8];
+  // nonce || len(aad), both 64-bit big-endian: the length prefix makes the
+  // (aad, ct) boundary unambiguous.
+  std::uint8_t header[16];
   const std::uint64_t alen = aad.size();
-  for (int i = 0; i < 8; ++i)
-    aad_len_be[i] = static_cast<std::uint8_t>(alen >> (56 - 8 * i));
-  mac.update(BytesView(aad_len_be, 8));
+  for (int i = 0; i < 8; ++i) {
+    header[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+    header[8 + i] = static_cast<std::uint8_t>(alen >> (56 - 8 * i));
+  }
+  mac.update(BytesView(header, sizeof header));
   mac.update(aad);
   mac.update(ciphertext);
   const Digest full = mac.finish();
-  std::array<std::uint8_t, 16> tag;
-  std::memcpy(tag.data(), full.data(), 16);
+  AeadTag tag;
+  std::memcpy(tag.data(), full.data(), tag.size());
   return tag;
+}
+
+AeadTag Aead::seal(std::uint64_t nonce, BytesView aad, BytesView plaintext,
+                   std::uint8_t* ciphertext) const {
+  aes128_ctr(keys_.cipher, nonce, plaintext, ciphertext);
+  return compute_tag(nonce, aad, BytesView(ciphertext, plaintext.size()));
+}
+
+Status Aead::open(std::uint64_t nonce, BytesView aad, BytesView ciphertext,
+                  BytesView tag, std::uint8_t* plaintext) const {
+  const AeadTag expected = compute_tag(nonce, aad, ciphertext);
+  if (!ct_equal(BytesView(expected.data(), expected.size()), tag))
+    return Errc::verification_failed;
+  aes128_ctr(keys_.cipher, nonce, ciphertext, plaintext);
+  return Status::success();
 }
 
 SealedBox Aead::seal(std::uint64_t nonce, BytesView aad,
                      BytesView plaintext) const {
   SealedBox box;
   box.nonce = nonce;
-  box.ciphertext = aes128_ctr(keys_.cipher, nonce, plaintext);
-  box.tag = compute_tag(nonce, aad, box.ciphertext);
+  box.ciphertext.resize(plaintext.size());
+  box.tag = seal(nonce, aad, plaintext, box.ciphertext.data());
   return box;
 }
 
 Result<Bytes> Aead::open(const SealedBox& box, BytesView aad) const {
-  const auto expected = compute_tag(box.nonce, aad, box.ciphertext);
-  if (!ct_equal(BytesView(expected.data(), expected.size()),
-                BytesView(box.tag.data(), box.tag.size())))
-    return Errc::verification_failed;
-  return aes128_ctr(keys_.cipher, box.nonce, box.ciphertext);
+  Bytes plain(box.ciphertext.size());
+  if (const Status s = open(box.nonce, aad, box.ciphertext,
+                            BytesView(box.tag.data(), box.tag.size()),
+                            plain.data());
+      !s.ok())
+    return s.error();
+  return plain;
 }
 
 Result<Aes128Key> key_from_bytes(BytesView material) {

@@ -34,7 +34,12 @@ class Aes128 {
 
 /// AES-128-CTR keystream transform. Encryption and decryption are identical.
 /// `nonce` occupies the first 8 bytes of the counter block; the remaining
-/// 8 bytes are a big-endian block counter starting at 0.
+/// 8 bytes are a big-endian block counter starting at 0. Writes in.size()
+/// bytes to `out`, which may be in.data() (in-place).
+void aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView in,
+                std::uint8_t* out);
+
+/// As above, into a new buffer.
 Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data);
 
 /// As above, expanding `key` for this one call.
@@ -51,12 +56,15 @@ struct EncMacKeys {
   Hmac mac;
 };
 
+/// HMAC-SHA256 truncated to 16 bytes.
+using AeadTag = std::array<std::uint8_t, 16>;
+
 /// Authenticated encryption: AES-128-CTR under enc_key, then HMAC-SHA256 of
 /// (nonce || aad || ciphertext) under mac_key, truncated to 16 bytes.
 struct SealedBox {
   std::uint64_t nonce = 0;
   Bytes ciphertext;
-  std::array<std::uint8_t, 16> tag{};
+  AeadTag tag{};
 };
 
 class Aead {
@@ -65,14 +73,30 @@ class Aead {
   /// (any length) via HKDF.
   explicit Aead(BytesView key_material);
 
+  /// The seal/open core, on caller-owned memory (a record layer seals
+  /// straight into its wire buffer and opens straight out of a received
+  /// datagram). Encrypts `plaintext` into `ciphertext` (plaintext.size()
+  /// bytes; may be plaintext.data()) and returns the tag.
+  AeadTag seal(std::uint64_t nonce, BytesView aad, BytesView plaintext,
+               std::uint8_t* ciphertext) const;
+
+  /// Checks `tag` over `ciphertext`, then decrypts into `plaintext`
+  /// (ciphertext.size() bytes; may be ciphertext.data()).
+  /// Errc::verification_failed, with nothing written, when the tag does not
+  /// match.
+  Status open(std::uint64_t nonce, BytesView aad, BytesView ciphertext,
+              BytesView tag, std::uint8_t* plaintext) const;
+
+  /// The core, into a SealedBox.
   SealedBox seal(std::uint64_t nonce, BytesView aad, BytesView plaintext) const;
 
-  /// Errc::verification_failed when the tag does not match.
+  /// The core, out of a SealedBox. Errc::verification_failed when the tag
+  /// does not match.
   Result<Bytes> open(const SealedBox& box, BytesView aad) const;
 
  private:
-  std::array<std::uint8_t, 16> compute_tag(std::uint64_t nonce, BytesView aad,
-                                           BytesView ciphertext) const;
+  AeadTag compute_tag(std::uint64_t nonce, BytesView aad,
+                      BytesView ciphertext) const;
   EncMacKeys keys_;
 };
 

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cstring>
 
 #include "crypto/kernels.h"
@@ -26,6 +27,18 @@ constexpr std::uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+/// `v` in big-endian byte order (a byte swap on little-endian hosts).
+std::uint32_t big_endian(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little)
+    return __builtin_bswap32(v);
+  return v;
+}
+std::uint64_t big_endian(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little)
+    return __builtin_bswap64(v);
+  return v;
+}
 
 }  // namespace
 
@@ -181,7 +194,7 @@ void Sha256::update(BytesView data) {
     buffer_len_ = 0;
   }
   const std::size_t full = (data.size() - offset) / 64;
-  compress(data.data() + offset, full);
+  if (full > 0) compress(data.data() + offset, full);
   offset += 64 * full;
   buffer_len_ = data.size() - offset;
   std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
@@ -191,24 +204,24 @@ Digest Sha256::finish() {
   if (finished_) throw Error("Sha256::finish called twice");
   finished_ = true;
 
-  // The buffered tail, 0x80, zeros to 56 mod 64, then the 64-bit big-endian
-  // bit length: one block when the tail leaves room for 9 bytes, else two.
-  std::uint8_t last[128] = {};
-  std::memcpy(last, buffer_.data(), buffer_len_);
-  last[buffer_len_] = 0x80;
-  const std::size_t blocks = buffer_len_ < 56 ? 1 : 2;
-  const std::uint64_t bit_len = total_len_ * 8;
-  for (int i = 0; i < 8; ++i)
-    last[64 * blocks - 8 + i] =
-        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  compress(last, blocks);
+  // Pad in place: the buffered tail, 0x80, zeros to 56 mod 64, then the
+  // 64-bit big-endian bit length. A tail of 56 bytes or more leaves no room
+  // for the length, so its block is closed with zeros first.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  const std::uint64_t bit_len = big_endian(total_len_ * 8);
+  std::memcpy(buffer_.data() + 56, &bit_len, 8);
+  compress(buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    const std::uint32_t word = big_endian(state_[i]);
+    std::memcpy(out.data() + 4 * i, &word, 4);
   }
   return out;
 }

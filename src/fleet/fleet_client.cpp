@@ -15,7 +15,7 @@ Status FleetClient::send_frame(FrameKind kind, BytesView payload) {
                                frame(kind, payload));
 }
 
-Result<Frame> FleetClient::next_frame() {
+Result<Bytes> FleetClient::next_frame(FrameKind expected) {
   auto datagram = config_.network->receive(config_.endpoint);
   if (!datagram) {
     if (!config_.drive) return Errc::io_error;
@@ -30,7 +30,11 @@ Result<Frame> FleetClient::next_frame() {
       return Errc::io_error;
     return static_cast<Errc>(parsed->payload[0]);
   }
-  return parsed;
+  if (parsed->kind != expected) return Errc::io_error;
+  // The payload, in the datagram's own buffer.
+  Bytes payload = std::move(datagram->payload);
+  payload.erase(payload.begin());
+  return payload;
 }
 
 Status FleetClient::connect() {
@@ -58,21 +62,19 @@ Status FleetClient::connect_full() {
   if (const Status s = send_frame(FrameKind::full_msg1, *msg1); !s.ok())
     return s;
 
-  auto msg2 = next_frame();
+  auto msg2 = next_frame(FrameKind::full_msg2);
   if (!msg2) return msg2.error();
-  if (msg2->kind != FrameKind::full_msg2) return Errc::io_error;
 
-  auto msg3 = channel->handle_msg2(msg2->payload);
+  auto msg3 = channel->handle_msg2(*msg2);
   if (!msg3) return msg3.error();
   if (const Status s = send_frame(FrameKind::full_msg3, *msg3); !s.ok())
     return s;
 
   // The grant doubles as the handshake-complete ack: it only opens if both
   // sides derived the same keys, and it carries next session's ticket.
-  auto granted = next_frame();
+  auto granted = next_frame(FrameKind::grant);
   if (!granted) return granted.error();
-  if (granted->kind != FrameKind::grant) return Errc::io_error;
-  auto plain = channel->open_record(granted->payload);
+  auto plain = channel->open_record(*granted);
   if (!plain) return plain.error();
   auto grant = decode_grant(*plain);
   if (!grant) return grant.error();
@@ -94,12 +96,11 @@ Status FleetClient::connect_resumed() {
       !s.ok())
     return s;
 
-  auto response = next_frame();
-  if (!response) return response.error();
-  if (response->kind != FrameKind::resume_ok) return Errc::io_error;
+  auto server_nonce = next_frame(FrameKind::resume_ok);
+  if (!server_nonce) return server_nonce.error();
 
   const Bytes keys =
-      resumption_keys(ticket_->secret, client_nonce, response->payload);
+      resumption_keys(ticket_->secret, client_nonce, *server_nonce);
   channel_ = net::SecureChannelEndpoint::resume(net::Role::initiator, keys);
   resumed_ = true;
   // Single-use: this ticket is now redeemed server-side. Holding onto it
@@ -122,10 +123,11 @@ Result<Bytes> FleetClient::call(const std::string& method,
 
 Status FleetClient::submit(const std::string& method, BytesView payload) {
   if (!channel_) return Errc::would_block;
-  auto record =
-      channel_->seal_record(net::encode_rpc_request(method, payload));
-  if (!record) return record.error();
-  return send_frame(FrameKind::record, *record);
+  auto framed = seal_frame(*channel_, FrameKind::record,
+                           net::encode_rpc_request(method, payload));
+  if (!framed) return framed.error();
+  return config_.network->send(config_.endpoint, config_.server_endpoint,
+                               std::move(*framed));
 }
 
 Result<Bytes> FleetClient::collect() {
@@ -144,7 +146,7 @@ Result<Bytes> FleetClient::collect() {
   if (parsed->kind != FrameKind::reply) return Errc::io_error;
   auto plain = channel_->open_record(parsed->payload);
   if (!plain) return plain.error();
-  return net::decode_rpc_reply(*plain);
+  return net::decode_rpc_reply(std::move(*plain));
 }
 
 }  // namespace lateral::fleet

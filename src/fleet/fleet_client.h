@@ -84,8 +84,9 @@ class FleetClient {
   Status connect_full();
   Status connect_resumed();
   /// Receive the next frame for us, running `drive` first when the queue
-  /// is empty. A reject frame surfaces as its carried error code.
-  Result<Frame> next_frame();
+  /// is empty, and return its payload. A reject frame surfaces as its
+  /// carried error code, any kind but `expected` as Errc::io_error.
+  Result<Bytes> next_frame(FrameKind expected);
   Status send_frame(FrameKind kind, BytesView payload);
 
   FleetClientConfig config_;

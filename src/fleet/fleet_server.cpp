@@ -1,5 +1,7 @@
 #include "fleet/fleet_server.h"
 
+#include <algorithm>
+
 #include "crypto/sha256.h"
 
 namespace lateral::fleet {
@@ -35,6 +37,7 @@ FleetServer::FleetServer(FleetServerConfig config)
   if (config_.verifier && config_.expected_client.empty())
     throw Error("FleetServer: verifier requires expected_client");
   cq_ = make_completion_queue();
+  in_flight_.resize(cq_->capacity());
 }
 
 std::unique_ptr<runtime::CompletionQueue> FleetServer::make_completion_queue()
@@ -147,12 +150,12 @@ void FleetServer::handle_full_msg3(const std::string& peer,
       measurement = *expected;
   }
   const MintedTicket minted = tickets_.mint(measurement, now());
-  auto sealed = session.channel->seal_record(
-      encode_grant(minted.wire, minted.secret));
+  auto sealed = seal_frame(*session.channel, FrameKind::grant,
+                           encode_grant(minted.wire, minted.secret));
   if (!sealed) return;  // channel came up unusable; client will retry
 
   sessions_[peer] = std::move(session);
-  send_frame(peer, FrameKind::grant, *sealed);
+  (void)config_.network->send(config_.endpoint, peer, std::move(*sealed));
   fleet_->handshakes_full++;
   fleet_->tickets_issued++;
   stamp_handshake_span(trace::SpanPhase::handshake_full, peer);
@@ -251,9 +254,13 @@ void FleetServer::handle_record(const std::string& peer, BytesView payload) {
       return;
     }
     counters_->submitted++;
-    backlog_.push_back(Arrival{.peer = peer,
-                               .payload = std::move(request->payload),
-                               .arrived_at = now()});
+    // The request payload is the plaintext's tail: keep its buffer.
+    const auto header =
+        static_cast<std::ptrdiff_t>(plain->size() - request->payload.size());
+    Bytes body = std::move(*plain);
+    body.erase(body.begin(), body.begin() + header);
+    backlog_.push_back(
+        Arrival{.peer = peer, .payload = std::move(body), .arrived_at = now()});
     return;
   }
 
@@ -320,8 +327,11 @@ Status FleetServer::serve_backlog(std::size_t max_batched) {
       drain_completions();
       continue;
     }
-    in_flight_[*id] =
-        InFlight{.peer = front.peer, .arrived_at = front.arrived_at};
+    InFlight& slot = in_flight_slot(*id);
+    if (slot.id != 0) throw Error("FleetServer: in-flight slot overrun");
+    slot = InFlight{.id = *id,
+                    .peer = std::move(front.peer),
+                    .arrived_at = front.arrived_at};
     backlog_.pop_front();
     ++served;
   }
@@ -332,9 +342,9 @@ Status FleetServer::serve_backlog(std::size_t max_batched) {
 
 void FleetServer::drain_completions() {
   cq_->for_each_completion([&](runtime::CqEvent& event) {
-    auto node = in_flight_.extract(event.id);
-    if (node.empty()) return;
-    const InFlight& flight = node.mapped();
+    InFlight& flight = in_flight_slot(event.id);
+    if (flight.id != event.id) return;
+    flight.id = 0;
     const Bytes reply_plain =
         event.ok() ? net::encode_rpc_reply(Errc::ok, event.payload)
                    : net::encode_rpc_reply(event.status, {});
@@ -360,12 +370,12 @@ void FleetServer::send_sealed(const std::string& peer, FrameKind kind,
                               BytesView plain) {
   const auto it = sessions_.find(peer);
   if (it == sessions_.end()) return;
-  auto sealed = it->second.channel->seal_record(plain);
+  auto sealed = seal_frame(*it->second.channel, kind, plain);
   if (!sealed) {
     sessions_.erase(it);
     return;
   }
-  send_frame(peer, kind, *sealed);
+  (void)config_.network->send(config_.endpoint, peer, std::move(*sealed));
 }
 
 void FleetServer::stamp_handshake_span(trace::SpanPhase phase,
@@ -394,11 +404,16 @@ void FleetServer::on_service_restart(
   // Admitted-but-unserved work cannot be answered (its sessions are gone):
   // account it as cancelled — withdrawn, not lost — so the lossless
   // invariant still balances after the crash.
-  counters_->cancelled += backlog_.size() + in_flight_.size();
+  counters_->cancelled +=
+      backlog_.size() +
+      static_cast<std::uint64_t>(std::count_if(
+          in_flight_.begin(), in_flight_.end(),
+          [](const InFlight& flight) { return flight.id != 0; }));
   backlog_.clear();
-  in_flight_.clear();
-  // Fresh channel epoch: the old queue would see stale_epoch forever.
+  // Fresh channel epoch: the old queue would see stale_epoch forever. Its
+  // ids start over, so the in-flight slots do too.
   cq_ = make_completion_queue();
+  in_flight_.assign(cq_->capacity(), InFlight{});
 }
 
 }  // namespace lateral::fleet

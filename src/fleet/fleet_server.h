@@ -33,6 +33,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/attestation.h"
 #include "core/manifest.h"
@@ -148,6 +150,7 @@ class FleetServer {
     bool resumed = false;
   };
   struct InFlight {
+    runtime::SubmissionId id = 0;  // 0: free slot
     std::string peer;
     Cycles arrived_at = 0;
   };
@@ -158,6 +161,10 @@ class FleetServer {
   };
 
   void handle_datagram(const net::SimNetwork::Datagram& datagram);
+  /// The in-flight slot of submission `id`.
+  InFlight& in_flight_slot(runtime::SubmissionId id) {
+    return in_flight_[id & (in_flight_.size() - 1)];
+  }
   void handle_full_msg1(const std::string& peer, BytesView payload);
   void handle_full_msg3(const std::string& peer, BytesView payload);
   void handle_resume(const std::string& peer, BytesView payload);
@@ -187,11 +194,16 @@ class FleetServer {
   /// and completion drain share that crossing (fixed depth; FIG14 sweeps
   /// batch_depth explicitly, so the adaptive controller stays off).
   std::unique_ptr<runtime::CompletionQueue> cq_;
-  std::map<std::string, Session> pending_;   // mid-handshake, by peer
-  std::map<std::string, Session> sessions_;  // established, by peer
-  std::map<std::string, net::RemoteDispatcher::Method> inline_methods_;
-  std::deque<Arrival> backlog_;              // admitted, not yet submitted
-  std::map<runtime::SubmissionId, InFlight> in_flight_;
+  std::unordered_map<std::string, Session> pending_;   // mid-handshake
+  std::unordered_map<std::string, Session> sessions_;  // established
+  std::map<std::string, net::RemoteDispatcher::Method, std::less<>>
+      inline_methods_;
+  std::deque<Arrival> backlog_;  // admitted, not yet submitted
+  /// Submitted to cq_, reply not yet sent, indexed by id modulo its size,
+  /// which is cq_->capacity(). Every doorbell is followed by a completion
+  /// drain, so the ids in flight are at most the ring's queued ones:
+  /// consecutive, and never more than capacity(), so never on one slot.
+  std::vector<InFlight> in_flight_;
   runtime::MetricsHub::FleetSlot own_fleet_;
   runtime::MetricsHub::FleetRef fleet_;
   runtime::MetricsHub::CounterSlot own_counters_;

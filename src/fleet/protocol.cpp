@@ -32,6 +32,12 @@ Bytes frame(FrameKind kind, BytesView payload) {
   return out;
 }
 
+Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
+                         BytesView plain) {
+  const auto kind_byte = static_cast<std::uint8_t>(kind);
+  return channel.seal_record(plain, BytesView(&kind_byte, 1));
+}
+
 Result<Frame> parse_frame(BytesView datagram) {
   if (datagram.empty()) return Errc::invalid_argument;
   const auto kind = static_cast<FrameKind>(datagram[0]);
@@ -49,10 +55,7 @@ Result<Frame> parse_frame(BytesView datagram) {
     default:
       return Errc::invalid_argument;
   }
-  Frame out;
-  out.kind = kind;
-  out.payload.assign(datagram.begin() + 1, datagram.end());
-  return out;
+  return Frame{.kind = kind, .payload = datagram.subspan(1)};
 }
 
 Bytes resumption_keys(BytesView secret, BytesView client_nonce,
@@ -74,6 +77,7 @@ Bytes resume_binder(BytesView secret, BytesView ticket_wire,
 Bytes encode_resume(BytesView ticket_wire, BytesView client_nonce,
                     BytesView binder) {
   Bytes out;
+  out.reserve(4 + ticket_wire.size() + client_nonce.size() + binder.size());
   append_u32(out, static_cast<std::uint32_t>(ticket_wire.size()));
   out.insert(out.end(), ticket_wire.begin(), ticket_wire.end());
   out.insert(out.end(), client_nonce.begin(), client_nonce.end());
@@ -100,6 +104,7 @@ Result<ResumeRequest> decode_resume(BytesView payload) {
 
 Bytes encode_grant(BytesView ticket_wire, BytesView secret) {
   Bytes out;
+  out.reserve(4 + ticket_wire.size() + secret.size());
   append_u32(out, static_cast<std::uint32_t>(ticket_wire.size()));
   out.insert(out.end(), ticket_wire.begin(), ticket_wire.end());
   out.insert(out.end(), secret.begin(), secret.end());

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "crypto/hmac.h"
+#include "net/secure_channel.h"
 #include "util/result.h"
 #include "util/types.h"
 
@@ -32,15 +33,20 @@ enum class FrameKind : std::uint8_t {
   reply = 0x15,      // sealed RPC reply record
 };
 
+/// A parsed frame: its payload is a view into the datagram it came from.
 struct Frame {
   FrameKind kind = FrameKind::reject;
-  Bytes payload;
+  BytesView payload;
 };
 
 /// Prepend the frame kind to a payload.
 Bytes frame(FrameKind kind, BytesView payload);
 
-/// Split a datagram into kind + payload; invalid_argument on an empty
+/// frame(kind, channel.seal_record(plain)), built in one buffer.
+Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
+                         BytesView plain);
+
+/// Split a datagram into kind + payload view; invalid_argument on an empty
 /// datagram or a kind outside the protocol.
 Result<Frame> parse_frame(BytesView datagram);
 

@@ -10,7 +10,7 @@ Status SimNetwork::register_endpoint(const std::string& name) {
 }
 
 Status SimNetwork::send(const std::string& from, const std::string& to,
-                        BytesView payload) {
+                        Bytes&& payload) {
   if (!queues_.contains(from)) return Errc::invalid_argument;
   const auto it = queues_.find(to);
   if (it == queues_.end()) return Errc::invalid_argument;
@@ -18,7 +18,6 @@ Status SimNetwork::send(const std::string& from, const std::string& to,
   stats_.messages++;
   stats_.bytes += payload.size();
 
-  Bytes delivered(payload.begin(), payload.end());
   if (tamperer_) {
     auto result = tamperer_(from, to, payload);
     if (!result) {
@@ -26,10 +25,15 @@ Status SimNetwork::send(const std::string& from, const std::string& to,
       return Status::success();  // silently dropped: sender can't tell
     }
     if (!ct_equal(*result, payload)) stats_.modified++;
-    delivered = std::move(*result);
+    payload = std::move(*result);
   }
-  it->second.push_back(Datagram{from, std::move(delivered)});
+  it->second.push_back(Datagram{from, std::move(payload)});
   return Status::success();
+}
+
+Status SimNetwork::send(const std::string& from, const std::string& to,
+                        BytesView payload) {
+  return send(from, to, Bytes(payload.begin(), payload.end()));
 }
 
 Status SimNetwork::inject(const std::string& claimed_from,

@@ -6,13 +6,19 @@
 // delivery between named endpoints with an optional man-in-the-middle that
 // can observe, drop, modify, reorder or replay every message. SecureChannel
 // is built to survive exactly this adversary.
+//
+// A datagram is one buffer from sender to receiver: send(Bytes&&) moves
+// the payload into the receiver's queue and receive() moves it out, so the
+// network itself copies nothing (the view overload copies once, up front).
+// The man in the middle sits between the two moves and sees every payload
+// exactly as sent, whichever overload sent it.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "util/result.h"
 #include "util/types.h"
@@ -36,7 +42,16 @@ class SimNetwork {
 
   Status register_endpoint(const std::string& name);
 
-  /// Send a datagram; passes through the tamperer if one is installed.
+  /// Send a datagram, moving `payload` into the receiver's queue: the
+  /// network makes no copy of its own. With a tamperer installed, the
+  /// tamperer sees the payload exactly as sent and what it returns is
+  /// delivered instead; `modified` counts a returned payload whose bytes
+  /// differ from the sent ones, `dropped` a nullopt. Stats count every
+  /// accepted send, delivered or not. Both endpoints must be registered.
+  Status send(const std::string& from, const std::string& to, Bytes&& payload);
+
+  /// Send a copy of `payload`; the same datagram, stats and tamperer
+  /// semantics as the moving send.
   Status send(const std::string& from, const std::string& to,
               BytesView payload);
 
@@ -57,7 +72,8 @@ class SimNetwork {
   const NetStats& stats() const { return stats_; }
 
  private:
-  std::map<std::string, std::deque<Datagram>> queues_;
+  /// Endpoint queues by name, hashed: every send and receive is a lookup.
+  std::unordered_map<std::string, std::deque<Datagram>> queues_;
   Tamperer tamperer_;
   NetStats stats_;
 };

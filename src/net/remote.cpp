@@ -2,8 +2,9 @@
 
 namespace lateral::net {
 
-Bytes encode_rpc_request(const std::string& method, BytesView payload) {
+Bytes encode_rpc_request(std::string_view method, BytesView payload) {
   Bytes out;
+  out.reserve(2 + method.size() + payload.size());
   out.push_back(static_cast<std::uint8_t>(method.size() >> 8));
   out.push_back(static_cast<std::uint8_t>(method.size()));
   out.insert(out.end(), method.begin(), method.end());
@@ -15,27 +16,27 @@ Result<RpcRequest> decode_rpc_request(BytesView plain) {
   if (plain.size() < 2) return Errc::invalid_argument;
   const std::size_t method_len = (std::size_t(plain[0]) << 8) | plain[1];
   if (plain.size() < 2 + method_len) return Errc::invalid_argument;
-  RpcRequest out;
-  out.method.assign(plain.begin() + 2,
-                    plain.begin() + 2 + static_cast<long>(method_len));
-  out.payload.assign(plain.begin() + 2 + static_cast<long>(method_len),
-                     plain.end());
-  return out;
+  return RpcRequest{
+      .method = std::string_view(
+          reinterpret_cast<const char*>(plain.data()) + 2, method_len),
+      .payload = plain.subspan(2 + method_len)};
 }
 
 Bytes encode_rpc_reply(Errc error, BytesView payload) {
+  const bool ok = error == Errc::ok;
   Bytes out;
+  out.reserve(1 + (ok ? payload.size() : 0));
   out.push_back(static_cast<std::uint8_t>(error));
-  if (error == Errc::ok)
-    out.insert(out.end(), payload.begin(), payload.end());
+  if (ok) out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
-Result<Bytes> decode_rpc_reply(BytesView plain) {
+Result<Bytes> decode_rpc_reply(Bytes plain) {
   if (plain.empty()) return Errc::invalid_argument;
   const Errc remote_error = static_cast<Errc>(plain[0]);
   if (remote_error != Errc::ok) return remote_error;
-  return Bytes(plain.begin() + 1, plain.end());
+  plain.erase(plain.begin());
+  return plain;
 }
 
 RemoteDispatcher::RemoteDispatcher(SecureChannelEndpoint& channel)
@@ -87,7 +88,7 @@ Result<Bytes> RemoteProxy::call(const std::string& method, BytesView payload) {
 
   auto reply = channel_.open_record(*reply_record);
   if (!reply) return reply.error();
-  return decode_rpc_reply(*reply);
+  return decode_rpc_reply(std::move(*reply));
 }
 
 }  // namespace lateral::net

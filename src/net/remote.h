@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "net/secure_channel.h"
 #include "util/result.h"
@@ -31,18 +32,20 @@ namespace lateral::net {
 // which pipelines many sealed requests before reading any reply and so
 // cannot use the synchronous proxy.
 
-Bytes encode_rpc_request(const std::string& method, BytesView payload);
+Bytes encode_rpc_request(std::string_view method, BytesView payload);
 
+/// A decoded request: views into the plaintext it was decoded from.
 struct RpcRequest {
-  std::string method;
-  Bytes payload;
+  std::string_view method;
+  BytesView payload;
 };
 Result<RpcRequest> decode_rpc_request(BytesView plain);
 
 Bytes encode_rpc_reply(Errc error, BytesView payload);
 
-/// Unwrap a reply: the remote error code travels back as the Result error.
-Result<Bytes> decode_rpc_reply(BytesView plain);
+/// Unwrap a reply in place: the payload keeps the plaintext's buffer, and
+/// the remote error code travels back as the Result error.
+Result<Bytes> decode_rpc_reply(Bytes plain);
 
 /// Server side: dispatches incoming records to registered methods.
 class RemoteDispatcher {
@@ -61,7 +64,7 @@ class RemoteDispatcher {
 
  private:
   SecureChannelEndpoint& channel_;
-  std::map<std::string, Method> methods_;
+  std::map<std::string, Method, std::less<>> methods_;
 };
 
 /// Client side: seals requests and opens replies.

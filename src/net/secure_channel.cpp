@@ -1,5 +1,7 @@
 #include "net/secure_channel.h"
 
+#include <algorithm>
+
 #include "crypto/sha256.h"
 
 namespace lateral::net {
@@ -21,6 +23,9 @@ Result<Bytes> read_blob(BytesView wire, std::size_t& offset) {
   offset += len;
   return out;
 }
+
+// A record on the wire: [u64 nonce | 16B tag | ciphertext].
+constexpr std::size_t kRecordHeaderBytes = 8 + 16;
 
 // Record AAD per direction, so a record cannot be reflected to its sender.
 const Bytes kI2rAad = to_bytes("i2r");
@@ -160,7 +165,7 @@ Result<Bytes> SecureChannelEndpoint::handle_msg2(BytesView msg2) {
   append_blob(msg3, my_quote);
 
   if (const Status s = derive_keys(); !s.ok()) return s.error();
-  established_ = true;
+  establish();
   return msg3;
 }
 
@@ -179,8 +184,21 @@ Status SecureChannelEndpoint::handle_msg3(BytesView msg3) {
         !s.ok())
       return Errc::verification_failed;
   }
-  established_ = true;
+  establish();
   return Status::success();
+}
+
+void SecureChannelEndpoint::establish() {
+  // The record keys are derived; the DH pair and the transcript only ever
+  // served the handshake. Forget them rather than hold them for the
+  // session's lifetime (reset() makes a fresh pair for the next one).
+  dh_ = crypto::DhKeyPair{};
+  peer_dh_ = crypto::Bignum();
+  nonce_local_ = Bytes();
+  nonce_peer_ = Bytes();
+  dh_i_wire_ = Bytes();
+  dh_r_wire_ = Bytes();
+  established_ = true;
 }
 
 Status SecureChannelEndpoint::derive_keys() {
@@ -210,43 +228,48 @@ Status SecureChannelEndpoint::derive_keys() {
   return Status::success();
 }
 
-Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext) {
+Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext,
+                                                 BytesView prefix) {
   if (!established_ || !aead_) return Errc::would_block;
   // Per-direction nonce spaces: initiator even, responder odd.
   const std::uint64_t nonce =
       (send_seq_ << 1) | (role_ == Role::responder ? 1 : 0);
   ++send_seq_;
-  const crypto::SealedBox box = aead_->seal(
-      nonce, role_ == Role::initiator ? kI2rAad : kR2iAad, plaintext);
 
-  Bytes wire;
-  for (int i = 7; i >= 0; --i)
-    wire.push_back(static_cast<std::uint8_t>(box.nonce >> (8 * i)));
-  wire.insert(wire.end(), box.tag.begin(), box.tag.end());
-  wire.insert(wire.end(), box.ciphertext.begin(), box.ciphertext.end());
+  // One exactly-sized buffer; the plaintext is encrypted straight into it.
+  Bytes wire(prefix.size() + kRecordHeaderBytes + plaintext.size());
+  std::copy(prefix.begin(), prefix.end(), wire.begin());
+  std::uint8_t* record = wire.data() + prefix.size();
+  for (int i = 0; i < 8; ++i)
+    record[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  const crypto::AeadTag tag =
+      aead_->seal(nonce, role_ == Role::initiator ? kI2rAad : kR2iAad,
+                  plaintext, record + kRecordHeaderBytes);
+  std::copy(tag.begin(), tag.end(), record + 8);
   return wire;
 }
 
 Result<Bytes> SecureChannelEndpoint::open_record(BytesView wire) {
   if (!established_ || !aead_) return Errc::would_block;
-  if (wire.size() < 24) return Errc::invalid_argument;
+  if (wire.size() < kRecordHeaderBytes) return Errc::invalid_argument;
 
-  crypto::SealedBox box;
-  for (int i = 0; i < 8; ++i) box.nonce = (box.nonce << 8) | wire[i];
-  std::copy(wire.begin() + 8, wire.begin() + 24, box.tag.begin());
-  box.ciphertext.assign(wire.begin() + 24, wire.end());
-
+  std::uint64_t nonce = 0;
+  for (int i = 0; i < 8; ++i) nonce = (nonce << 8) | wire[i];
   // Strict ordering: the next record from the peer must carry exactly the
   // expected sequence number in the peer's nonce space.
   const std::uint64_t expected_nonce =
       (recv_seq_ << 1) | (role_ == Role::initiator ? 1 : 0);
-  if (box.nonce != expected_nonce) return Errc::verification_failed;
+  if (nonce != expected_nonce) return Errc::verification_failed;
 
-  auto plain =
-      aead_->open(box, role_ == Role::initiator ? kR2iAad : kI2rAad);
-  if (!plain) return Errc::verification_failed;
+  const BytesView ciphertext = wire.subspan(kRecordHeaderBytes);
+  Bytes plain(ciphertext.size());
+  if (!aead_
+           ->open(nonce, role_ == Role::initiator ? kR2iAad : kI2rAad,
+                  ciphertext, wire.subspan(8, 16), plain.data())
+           .ok())
+    return Errc::verification_failed;
   ++recv_seq_;
-  return std::move(*plain);
+  return plain;
 }
 
 }  // namespace lateral::net

@@ -19,7 +19,11 @@
 //
 // Records are AES-128-CTR + HMAC (encrypt-then-MAC) with per-direction
 // monotonic sequence numbers: tampering, reordering and replay all surface
-// as Errc::verification_failed.
+// as Errc::verification_failed. Each record costs one buffer per side:
+// seal_record encrypts straight into the wire buffer (behind an optional
+// unauthenticated routing prefix), open_record decrypts straight out of
+// the received bytes. Once established, an endpoint keeps only its record
+// keys and sequence numbers; the DH pair and transcript are dropped.
 #pragma once
 
 #include <optional>
@@ -86,7 +90,17 @@ class SecureChannelEndpoint {
   void reset();
 
   // --- Record layer ---------------------------------------------------------
-  Result<Bytes> seal_record(BytesView plaintext);
+  // A record is [u64 nonce | 16-byte tag | ciphertext], the nonce
+  // big-endian. Both calls cost one buffer: seal encrypts straight into the
+  // wire buffer, open decrypts straight out of the received bytes.
+
+  /// Seal the next record. `prefix` is copied in front of it, outside the
+  /// authenticated bytes: routing the receiver strips before open_record
+  /// (a fleet frame kind), so a framed record needs no second buffer.
+  Result<Bytes> seal_record(BytesView plaintext, BytesView prefix = {});
+  /// Open the peer's next record: wrong sequence number or tag is
+  /// Errc::verification_failed and leaves the receive sequence where it
+  /// was; fewer bytes than a record header is Errc::invalid_argument.
   Result<Bytes> open_record(BytesView wire);
 
  private:
@@ -94,6 +108,8 @@ class SecureChannelEndpoint {
   SecureChannelEndpoint(ResumeTag, Role role, BytesView key_material);
 
   Status derive_keys();
+  /// Mark the channel established and drop the handshake-only state.
+  void establish();
 
   Role role_;
   crypto::HmacDrbg drbg_;

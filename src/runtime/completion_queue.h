@@ -209,6 +209,9 @@ class CompletionQueue {
 
   // --- Introspection --------------------------------------------------------
   std::size_t pending() const { return ring_.size(); }
+  /// Submission ring slots: the most invocations queued at once. Queued
+  /// ids are consecutive, so `id % capacity()` tells them apart.
+  std::size_t capacity() const { return ring_.capacity(); }
   std::size_t ready() const { return ready_.size(); }
   /// The controller's current batch-depth target.
   std::size_t batch_depth() const { return controller_.depth(); }

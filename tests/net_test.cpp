@@ -2,11 +2,14 @@
 // attestation, MITM splice refusal, record tamper/replay/reorder detection.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
+#include "fleet/protocol.h"
 #include "fleet/ticket.h"
 #include "net/network.h"
 #include "net/remote.h"
 #include "net/secure_channel.h"
 #include "test_support.h"
+#include "util/hex.h"
 
 namespace lateral::net {
 namespace {
@@ -61,6 +64,88 @@ TEST(SimNetwork, InjectionForgesSource) {
   ASSERT_TRUE(datagram.ok());
   // The "from" field is attacker-chosen — claimed identity means nothing.
   EXPECT_EQ(datagram->from, "trusted-peer");
+}
+
+// The moving send and the copying send are one datagram path: the same
+// deliveries, the same stats, the same bytes shown to the tamperer.
+struct SendOutcome {
+  std::vector<std::pair<std::string, Bytes>> delivered;
+  std::vector<Bytes> seen_by_tamperer;
+  NetStats stats;
+};
+
+SendOutcome send_all(const std::vector<Bytes>& payloads, bool move,
+                     std::optional<SimNetwork::Tamperer> tamperer) {
+  SendOutcome out;
+  SimNetwork network;
+  EXPECT_TRUE(network.register_endpoint("a").ok());
+  EXPECT_TRUE(network.register_endpoint("b").ok());
+  if (tamperer) {
+    network.set_tamperer([&out, inner = *tamperer](
+                             const std::string& from, const std::string& to,
+                             BytesView payload) {
+      out.seen_by_tamperer.emplace_back(payload.begin(), payload.end());
+      return inner(from, to, payload);
+    });
+  }
+  for (const Bytes& payload : payloads) {
+    if (move) {
+      Bytes owned = payload;
+      EXPECT_TRUE(network.send("a", "b", std::move(owned)).ok());
+    } else {
+      EXPECT_TRUE(network.send("a", "b", BytesView(payload)).ok());
+    }
+  }
+  while (auto datagram = network.receive("b"))
+    out.delivered.emplace_back(datagram->from, std::move(datagram->payload));
+  out.stats = network.stats();
+  return out;
+}
+
+TEST(SimNetwork, MoveSendMatchesViewSend) {
+  const std::vector<Bytes> payloads = {to_bytes("drop"), to_bytes("keep-me"),
+                                       to_bytes("flip-me"), Bytes{},
+                                       to_bytes("same-bytes")};
+  const SimNetwork::Tamperer dropping =
+      [](const std::string&, const std::string&,
+         BytesView payload) -> std::optional<Bytes> {
+    if (payload.size() == 4) return std::nullopt;
+    return Bytes(payload.begin(), payload.end());
+  };
+  // Flips the first byte of some payloads and hands others back unchanged,
+  // which must not count as modified.
+  const SimNetwork::Tamperer modifying =
+      [](const std::string&, const std::string&,
+         BytesView payload) -> std::optional<Bytes> {
+    Bytes copy(payload.begin(), payload.end());
+    if (to_string(payload).starts_with("flip")) copy[0] ^= 0xFF;
+    return copy;
+  };
+  for (const auto& tamperer :
+       {std::optional<SimNetwork::Tamperer>{}, std::optional(dropping),
+        std::optional(modifying)}) {
+    const SendOutcome moved = send_all(payloads, /*move=*/true, tamperer);
+    const SendOutcome viewed = send_all(payloads, /*move=*/false, tamperer);
+    EXPECT_EQ(moved.delivered, viewed.delivered);
+    EXPECT_EQ(moved.stats.messages, viewed.stats.messages);
+    EXPECT_EQ(moved.stats.bytes, viewed.stats.bytes);
+    EXPECT_EQ(moved.stats.dropped, viewed.stats.dropped);
+    EXPECT_EQ(moved.stats.modified, viewed.stats.modified);
+    EXPECT_EQ(moved.stats.messages, payloads.size());
+    if (tamperer) {
+      // Every payload reaches the tamperer intact, whichever send made it.
+      EXPECT_EQ(moved.seen_by_tamperer, payloads);
+      EXPECT_EQ(viewed.seen_by_tamperer, payloads);
+    }
+  }
+  const SendOutcome dropped = send_all(payloads, true, dropping);
+  EXPECT_EQ(dropped.stats.dropped, 1u);
+  EXPECT_EQ(dropped.stats.modified, 0u);
+  EXPECT_EQ(dropped.delivered.size(), payloads.size() - 1);
+  const SendOutcome modified = send_all(payloads, true, modifying);
+  EXPECT_EQ(modified.stats.modified, 1u);
+  ASSERT_EQ(modified.delivered.size(), payloads.size());
+  EXPECT_EQ(modified.delivered[2].second[0], 'f' ^ 0xFF);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +547,167 @@ TEST_F(RemoteRpcTest, ReplayedRequestRecordRefused) {
   // An attacker replaying the captured request record gets a channel-level
   // refusal: the receive sequence has moved on.
   EXPECT_EQ(dispatcher_->handle(*record).error(), Errc::verification_failed);
+}
+
+
+// ---------------------------------------------------------------------------
+// Wire goldens: the exact bytes of sealed records and fleet frames on a
+// seeded channel. Any rewrite of the record layer must reproduce them.
+
+std::string pin(BytesView b) {
+  if (b.size() <= 64) return util::to_hex(b);
+  return "sha256:" + util::to_hex(crypto::digest_view(crypto::Sha256::hash(b)));
+}
+
+Bytes golden_plaintext(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::uint8_t>(i * 37 + n);
+  return b;
+}
+
+/// Unattested handshake between two seeded endpoints: every byte it
+/// produces follows from the seeds.
+void seeded_handshake(SecureChannelEndpoint& initiator,
+                      SecureChannelEndpoint& responder) {
+  auto msg1 = initiator.start();
+  ASSERT_TRUE(msg1.ok());
+  auto msg2 = responder.handle_msg1(*msg1);
+  ASSERT_TRUE(msg2.ok());
+  auto msg3 = initiator.handle_msg2(*msg2);
+  ASSERT_TRUE(msg3.ok());
+  ASSERT_TRUE(responder.handle_msg3(*msg3).ok());
+}
+
+constexpr std::size_t kGoldenLengths[] = {0, 1, 23, 55, 56, 64, 200};
+
+TEST(WireGolden, SealRecordBothRoles) {
+  const std::string initiator_golden[] = {
+      "00000000000000006027e6a851dcbf82b4b8043f1aad2c2c",
+      "00000000000000025bb648f1b61a25f9770a2d76342bfa1081",
+      "0000000000000004bb9a58ffb36486c3837e358f760d8fadd344264617b4e5a69b"
+      "2ab6ff245402d8427ece765e830e",
+      "sha256:af997dcef7ff173ee4b9f75d9ab47383977fcd82372aad1f777e35c19eb83e32",
+      "sha256:f3ab1782d9906dba77f80e56b6bb740282bcc0a3e4feeece711f41ac36ce1911",
+      "sha256:6f3ad9786015427735d053c9fdbe2c71b12b17e97e7e3a17120ac72716aa07b2",
+      "sha256:d5eae82f9db0fe9814fbf2cae8ab22d98071074e249a1ee827ed50e29fa22916",
+  };
+  const std::string responder_golden[] = {
+      "000000000000000189adf05b8f1534011100e276d61f0a7b",
+      "0000000000000003dad93f84e07519fd5c18c488d77f1aac2a",
+      "0000000000000005a0dfbe4d570e264d60ee47fdf78c4d0e7dd65af8898aa4f6f8"
+      "a49f3d302ebb79a1f3052ef11e52",
+      "sha256:4472d6f9a3dc15e628ebd3b28c0ed0ed5e6475575639463319951ddee4f314d0",
+      "sha256:c0910e519685dbb9ff7edcb1041cd0d8679cbdfd1def49ab475d0f3e82f9e39f",
+      "sha256:dd90407123467944b8ddb91458ffa97d78ca8acf7215288fdce1f4a1976ce871",
+      "sha256:058d192d456d1e73d7c37e82eb8cb51daa5a60791e4e3efaa318d1f0912866bc",
+  };
+  SecureChannelEndpoint initiator(Role::initiator, to_bytes("golden-i"),
+                                  std::nullopt, std::nullopt);
+  SecureChannelEndpoint responder(Role::responder, to_bytes("golden-r"),
+                                  std::nullopt, std::nullopt);
+  seeded_handshake(initiator, responder);
+  for (std::size_t i = 0; i < std::size(kGoldenLengths); ++i) {
+    const Bytes plain = golden_plaintext(kGoldenLengths[i]);
+    auto to_responder = initiator.seal_record(plain);
+    ASSERT_TRUE(to_responder.ok());
+    EXPECT_EQ(pin(*to_responder), initiator_golden[i])
+        << "initiator len=" << kGoldenLengths[i];
+    auto to_initiator = responder.seal_record(plain);
+    ASSERT_TRUE(to_initiator.ok());
+    EXPECT_EQ(pin(*to_initiator), responder_golden[i])
+        << "responder len=" << kGoldenLengths[i];
+    // Both directions still open in order.
+    auto opened = responder.open_record(*to_responder);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, plain);
+    opened = initiator.open_record(*to_initiator);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, plain);
+  }
+}
+
+TEST(WireGolden, FleetRecordAndReplyFrames) {
+  const std::string request_golden =
+      "040000000000000000b148a0842409613b1feb56feb48db71d58140b36113f19c7"
+      "28ba9b80c2cfcc242fea9736fad2fb37574e024f129347e5";
+  const std::string reply_golden =
+      "150000000000000001187ea7db704807d1991e5baae7b3f6c6516be1473148a1d8"
+      "04d2bdb3fa2637c693";
+  const Bytes request_plain =
+      encode_rpc_request("report", golden_plaintext(24));
+  const Bytes reply_plain = encode_rpc_reply(Errc::ok, golden_plaintext(16));
+
+  // The framed record as frame(kind, seal_record(...)) builds it...
+  SecureChannelEndpoint meter(Role::initiator, to_bytes("golden-meter"),
+                              std::nullopt, std::nullopt);
+  SecureChannelEndpoint utility(Role::responder, to_bytes("golden-utility"),
+                                std::nullopt, std::nullopt);
+  seeded_handshake(meter, utility);
+  auto request = meter.seal_record(request_plain);
+  ASSERT_TRUE(request.ok());
+  EXPECT_EQ(pin(fleet::frame(fleet::FrameKind::record, *request)),
+            request_golden);
+  auto reply = utility.seal_record(reply_plain);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(pin(fleet::frame(fleet::FrameKind::reply, *reply)), reply_golden);
+
+  // ...and as the fleet sends it, sealed behind its kind in one buffer, on
+  // an identically seeded channel.
+  SecureChannelEndpoint meter2(Role::initiator, to_bytes("golden-meter"),
+                               std::nullopt, std::nullopt);
+  SecureChannelEndpoint utility2(Role::responder, to_bytes("golden-utility"),
+                                 std::nullopt, std::nullopt);
+  seeded_handshake(meter2, utility2);
+  auto request_frame =
+      fleet::seal_frame(meter2, fleet::FrameKind::record, request_plain);
+  ASSERT_TRUE(request_frame.ok());
+  EXPECT_EQ(pin(*request_frame), request_golden);
+  auto reply_frame =
+      fleet::seal_frame(utility2, fleet::FrameKind::reply, reply_plain);
+  ASSERT_TRUE(reply_frame.ok());
+  EXPECT_EQ(pin(*reply_frame), reply_golden);
+
+  // The frames parse back to the sealed records, which open in order.
+  auto parsed = fleet::parse_frame(*request_frame);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->kind, fleet::FrameKind::record);
+  auto plain = utility2.open_record(parsed->payload);
+  ASSERT_TRUE(plain.ok());
+  auto decoded = decode_rpc_request(*plain);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->method, "report");
+  EXPECT_EQ(Bytes(decoded->payload.begin(), decoded->payload.end()),
+            golden_plaintext(24));
+  parsed = fleet::parse_frame(*reply_frame);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->kind, fleet::FrameKind::reply);
+  plain = meter2.open_record(parsed->payload);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(decode_rpc_reply(*plain).value(), golden_plaintext(16));
+}
+
+TEST(WireGolden, OpenRecordRejectsEveryByteFlip) {
+  SecureChannelEndpoint initiator(Role::initiator, to_bytes("golden-i"),
+                                  std::nullopt, std::nullopt);
+  SecureChannelEndpoint responder(Role::responder, to_bytes("golden-r"),
+                                  std::nullopt, std::nullopt);
+  seeded_handshake(initiator, responder);
+  auto wire = initiator.seal_record(golden_plaintext(23));
+  ASSERT_TRUE(wire.ok());
+  for (std::size_t i = 0; i < wire->size(); ++i) {
+    for (const std::uint8_t flip : {0x01, 0x80}) {
+      Bytes forged = *wire;
+      forged[i] ^= flip;
+      EXPECT_EQ(responder.open_record(forged).error(),
+                Errc::verification_failed)
+          << "byte " << i << " flip " << int(flip);
+    }
+  }
+  // None of the refusals moved the receive sequence.
+  auto plain = responder.open_record(*wire);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(*plain, golden_plaintext(23));
 }
 
 }  // namespace
