@@ -1,8 +1,10 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/kernels.h"
+#include "util/wire.h"
 
 #ifdef LATERAL_X86_CRYPTO_KERNELS
 #include <immintrin.h>
@@ -175,14 +177,12 @@ void Aes128::encrypt_block(AesBlock& block) const {
 void aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView in,
                 std::uint8_t* out) {
   AesBlock counter_block{};
-  for (int i = 0; i < 8; ++i)
-    counter_block[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  wire::store_be64(counter_block.data(), nonce);
 
   std::uint64_t counter = 0;
   for (std::size_t offset = 0; offset < in.size(); offset += 16) {
     AesBlock keystream = counter_block;
-    for (int i = 0; i < 8; ++i)
-      keystream[8 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
+    wire::store_be64(keystream.data() + 8, counter);
     cipher.encrypt_block(keystream);
     const std::size_t n = std::min<std::size_t>(16, in.size() - offset);
     for (std::size_t i = 0; i < n; ++i)
@@ -214,11 +214,8 @@ AeadTag Aead::compute_tag(std::uint64_t nonce, BytesView aad,
   // nonce || len(aad), both 64-bit big-endian: the length prefix makes the
   // (aad, ct) boundary unambiguous.
   std::uint8_t header[16];
-  const std::uint64_t alen = aad.size();
-  for (int i = 0; i < 8; ++i) {
-    header[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-    header[8 + i] = static_cast<std::uint8_t>(alen >> (56 - 8 * i));
-  }
+  wire::store_be64(header, nonce);
+  wire::store_be64(header + 8, aad.size());
   mac.update(BytesView(header, sizeof header));
   mac.update(aad);
   mac.update(ciphertext);
@@ -260,6 +257,22 @@ Result<Bytes> Aead::open(const SealedBox& box, BytesView aad) const {
       !s.ok())
     return s.error();
   return plain;
+}
+
+void append_sealed_box(Bytes& out, const SealedBox& box) {
+  wire::ByteWriter w(out);
+  w.u64(box.nonce);
+  w.bytes(box.tag);
+  w.bytes(box.ciphertext);
+}
+
+Result<SealedBox> parse_sealed_box(BytesView in) {
+  if (in.size() < kSealedBoxHeaderBytes) return Errc::invalid_argument;
+  SealedBox box;
+  box.nonce = wire::load_be64(in.data());
+  std::copy_n(in.begin() + 8, box.tag.size(), box.tag.begin());
+  box.ciphertext.assign(in.begin() + kSealedBoxHeaderBytes, in.end());
+  return box;
 }
 
 Result<Aes128Key> key_from_bytes(BytesView material) {

@@ -67,6 +67,15 @@ struct SealedBox {
   AeadTag tag{};
 };
 
+/// The wire form of a SealedBox, the one layout every sealed blob in the
+/// tree uses (substrate and TPM sealing, tickets, TrustedStore values; the
+/// secure channel's record header is the same bytes, written in place):
+/// [u64 nonce | 16 B tag | ciphertext].
+constexpr std::size_t kSealedBoxHeaderBytes = 8 + 16;
+void append_sealed_box(Bytes& out, const SealedBox& box);
+/// Errc::invalid_argument when `wire` is shorter than the header.
+Result<SealedBox> parse_sealed_box(BytesView wire);
+
 class Aead {
  public:
   /// Derives independent encryption and MAC keys from `key_material`

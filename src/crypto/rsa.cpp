@@ -1,23 +1,12 @@
 #include "crypto/rsa.h"
 
 #include "crypto/hmac.h"
+#include "util/wire.h"
 
 namespace lateral::crypto {
 namespace {
 
 constexpr std::uint64_t kPublicExponent = 65537;
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-Result<std::uint32_t> read_u32(BytesView wire, std::size_t& offset) {
-  if (offset + 4 > wire.size()) return Errc::invalid_argument;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | wire[offset++];
-  return v;
-}
 
 /// EMSA-PKCS1-v1_5-style encoding: 0x00 0x01 FF..FF 0x00 || DER-ish prefix ||
 /// SHA-256(m). We use a fixed ASCII marker instead of the ASN.1 DigestInfo —
@@ -45,28 +34,19 @@ Digest RsaPublicKey::fingerprint() const { return Sha256::hash(serialize()); }
 
 Bytes RsaPublicKey::serialize() const {
   Bytes out;
-  const Bytes n_bytes = n.to_bytes();
-  const Bytes e_bytes = e.to_bytes();
-  append_u32(out, static_cast<std::uint32_t>(n_bytes.size()));
-  out.insert(out.end(), n_bytes.begin(), n_bytes.end());
-  append_u32(out, static_cast<std::uint32_t>(e_bytes.size()));
-  out.insert(out.end(), e_bytes.begin(), e_bytes.end());
+  wire::ByteWriter w(out);
+  w.blob32(n.to_bytes());
+  w.blob32(e.to_bytes());
   return out;
 }
 
-Result<RsaPublicKey> RsaPublicKey::deserialize(BytesView wire) {
-  std::size_t offset = 0;
-  auto n_len = read_u32(wire, offset);
-  if (!n_len) return n_len.error();
-  if (offset + *n_len > wire.size()) return Errc::invalid_argument;
-  const Bignum n = Bignum::from_bytes(wire.subspan(offset, *n_len));
-  offset += *n_len;
-  auto e_len = read_u32(wire, offset);
-  if (!e_len) return e_len.error();
-  if (offset + *e_len > wire.size()) return Errc::invalid_argument;
-  const Bignum e = Bignum::from_bytes(wire.subspan(offset, *e_len));
-  offset += *e_len;
-  if (offset != wire.size()) return Errc::invalid_argument;
+Result<RsaPublicKey> RsaPublicKey::deserialize(BytesView in) {
+  wire::ByteReader r(in);
+  auto n_bytes = r.blob32();
+  auto e_bytes = r.blob32();
+  if (!n_bytes || !e_bytes || !r.finish().ok()) return Errc::invalid_argument;
+  const Bignum n = Bignum::from_bytes(*n_bytes);
+  const Bignum e = Bignum::from_bytes(*e_bytes);
   if (n.is_zero() || e.is_zero()) return Errc::invalid_argument;
   return RsaPublicKey{n, e};
 }

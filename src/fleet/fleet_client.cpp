@@ -1,5 +1,7 @@
 #include "fleet/fleet_client.h"
 
+#include "util/wire.h"
+
 namespace lateral::fleet {
 
 FleetClient::FleetClient(FleetClientConfig config)
@@ -28,7 +30,7 @@ Result<Bytes> FleetClient::next_frame(FrameKind expected) {
   if (parsed->kind == FrameKind::reject) {
     if (parsed->payload.size() != 1 || parsed->payload[0] == 0)
       return Errc::io_error;
-    return static_cast<Errc>(parsed->payload[0]);
+    return wire::errc8(parsed->payload[0]);
   }
   if (parsed->kind != expected) return Errc::io_error;
   // The payload, in the datagram's own buffer.
@@ -141,7 +143,7 @@ Result<Bytes> FleetClient::collect() {
     disconnect();
     if (parsed->payload.size() != 1 || parsed->payload[0] == 0)
       return Errc::io_error;
-    return static_cast<Errc>(parsed->payload[0]);
+    return wire::errc8(parsed->payload[0]);
   }
   if (parsed->kind != FrameKind::reply) return Errc::io_error;
   auto plain = channel_->open_record(parsed->payload);

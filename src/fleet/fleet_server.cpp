@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/sha256.h"
+#include "util/wire.h"
 
 namespace lateral::fleet {
 
@@ -299,11 +300,14 @@ void FleetServer::handle_record(const std::string& peer, BytesView payload) {
 
 Bytes FleetServer::serve_audit_pull(BytesView payload) {
   if (!config_.audit) return net::encode_rpc_reply(Errc::not_supported, {});
+  // [] pulls the whole log; [u64 from_seq] pulls from that record on.
   std::uint64_t from_seq = 0;
-  if (payload.size() == 8) {
-    for (const std::uint8_t b : payload) from_seq = (from_seq << 8) | b;
-  } else if (!payload.empty()) {
-    return net::encode_rpc_reply(Errc::invalid_argument, {});
+  if (!payload.empty()) {
+    wire::ByteReader r(payload);
+    auto seq = r.u64();
+    if (!seq || !r.finish().ok())
+      return net::encode_rpc_reply(Errc::invalid_argument, {});
+    from_seq = *seq;
   }
   auto segment = config_.audit->segment(from_seq, *config_.substrate,
                                         config_.service_domain);

@@ -1,26 +1,12 @@
 #include "fleet/protocol.h"
 
+#include "util/wire.h"
+
 namespace lateral::fleet {
 namespace {
 
 constexpr std::size_t kNonceBytes = 32;
 constexpr std::size_t kBinderBytes = 32;
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-Result<Bytes> read_blob32(BytesView wire, std::size_t& offset) {
-  if (offset + 4 > wire.size()) return Errc::invalid_argument;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len = (len << 8) | wire[offset++];
-  if (offset + len > wire.size()) return Errc::invalid_argument;
-  Bytes out(wire.begin() + static_cast<long>(offset),
-            wire.begin() + static_cast<long>(offset + len));
-  offset += len;
-  return out;
-}
 
 }  // namespace
 
@@ -78,48 +64,45 @@ Bytes encode_resume(BytesView ticket_wire, BytesView client_nonce,
                     BytesView binder) {
   Bytes out;
   out.reserve(4 + ticket_wire.size() + client_nonce.size() + binder.size());
-  append_u32(out, static_cast<std::uint32_t>(ticket_wire.size()));
-  out.insert(out.end(), ticket_wire.begin(), ticket_wire.end());
-  out.insert(out.end(), client_nonce.begin(), client_nonce.end());
-  out.insert(out.end(), binder.begin(), binder.end());
+  wire::ByteWriter w(out);
+  w.blob32(ticket_wire);
+  w.bytes(client_nonce);
+  w.bytes(binder);
   return out;
 }
 
 Result<ResumeRequest> decode_resume(BytesView payload) {
-  std::size_t offset = 0;
-  auto ticket = read_blob32(payload, offset);
+  wire::ByteReader r(payload);
+  auto ticket = r.blob32();
   if (!ticket) return ticket.error();
-  if (payload.size() != offset + kNonceBytes + kBinderBytes)
-    return Errc::invalid_argument;
-  ResumeRequest out;
-  out.ticket_wire = std::move(*ticket);
-  out.client_nonce.assign(payload.begin() + static_cast<long>(offset),
-                          payload.begin() +
-                              static_cast<long>(offset + kNonceBytes));
-  out.binder.assign(payload.begin() +
-                        static_cast<long>(offset + kNonceBytes),
-                    payload.end());
-  return out;
+  auto client_nonce = r.bytes(kNonceBytes);
+  if (!client_nonce) return client_nonce.error();
+  auto binder = r.bytes(kBinderBytes);
+  if (!binder) return binder.error();
+  if (const Status s = r.finish(); !s.ok()) return s.error();
+  return ResumeRequest{.ticket_wire = Bytes(ticket->begin(), ticket->end()),
+                       .client_nonce = Bytes(client_nonce->begin(),
+                                             client_nonce->end()),
+                       .binder = Bytes(binder->begin(), binder->end())};
 }
 
 Bytes encode_grant(BytesView ticket_wire, BytesView secret) {
   Bytes out;
   out.reserve(4 + ticket_wire.size() + secret.size());
-  append_u32(out, static_cast<std::uint32_t>(ticket_wire.size()));
-  out.insert(out.end(), ticket_wire.begin(), ticket_wire.end());
-  out.insert(out.end(), secret.begin(), secret.end());
+  wire::ByteWriter w(out);
+  w.blob32(ticket_wire);
+  w.bytes(secret);
   return out;
 }
 
 Result<Grant> decode_grant(BytesView plain) {
-  std::size_t offset = 0;
-  auto ticket = read_blob32(plain, offset);
+  wire::ByteReader r(plain);
+  auto ticket = r.blob32();
   if (!ticket) return ticket.error();
-  if (plain.size() <= offset) return Errc::invalid_argument;
-  Grant out;
-  out.ticket_wire = std::move(*ticket);
-  out.secret.assign(plain.begin() + static_cast<long>(offset), plain.end());
-  return out;
+  const BytesView secret = r.rest();
+  if (secret.empty()) return Errc::invalid_argument;
+  return Grant{.ticket_wire = Bytes(ticket->begin(), ticket->end()),
+               .secret = Bytes(secret.begin(), secret.end())};
 }
 
 }  // namespace lateral::fleet

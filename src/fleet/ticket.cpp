@@ -1,22 +1,13 @@
 #include "fleet/ticket.h"
 
+#include "util/wire.h"
+
 namespace lateral::fleet {
 namespace {
 
 // Ticket plaintext: [32B measurement | 32B secret | 8B expiry | 8B id].
 constexpr std::size_t kSecretBytes = 32;
 constexpr std::size_t kPlainBytes = 32 + kSecretBytes + 8 + 8;
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t read_u64(BytesView wire, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | wire[offset + i];
-  return v;
-}
 
 const Bytes kTicketAad = to_bytes("lateral.fleet.ticket.v1");
 
@@ -34,7 +25,7 @@ crypto::Aead TicketIssuer::make_aead() const {
   // The sealing key is derived from the seed AND the epoch: rotate() bumps
   // the epoch, and nothing sealed under the old key opens again.
   Bytes info = to_bytes("lateral.fleet.ticketkey.v1:");
-  append_u64(info, key_epoch_);
+  wire::ByteWriter(info).u64(key_epoch_);
   return crypto::Aead(crypto::hkdf(/*salt=*/{}, key_seed_, info, 32));
 }
 
@@ -47,44 +38,42 @@ MintedTicket TicketIssuer::mint(const crypto::Digest& client_measurement,
 
   Bytes plain;
   plain.reserve(kPlainBytes);
-  plain.insert(plain.end(), client_measurement.begin(),
-               client_measurement.end());
-  plain.insert(plain.end(), out.secret.begin(), out.secret.end());
-  append_u64(plain, now + ttl_);
-  append_u64(plain, out.id);
+  wire::ByteWriter w(plain);
+  w.bytes(client_measurement);
+  w.bytes(out.secret);
+  w.u64(now + ttl_);
+  w.u64(out.id);
 
   // The id doubles as the AEAD nonce: unique per key epoch by construction
   // (rotate() replaces the key, so post-rotate reuse of an id is under a
   // different keystream).
-  const crypto::SealedBox box = aead_.seal(out.id, kTicketAad, plain);
-  Bytes wire;
-  append_u64(wire, box.nonce);
-  wire.insert(wire.end(), box.tag.begin(), box.tag.end());
-  wire.insert(wire.end(), box.ciphertext.begin(), box.ciphertext.end());
-  out.wire = std::move(wire);
+  out.wire.reserve(crypto::kSealedBoxHeaderBytes + kPlainBytes);
+  crypto::append_sealed_box(out.wire, aead_.seal(out.id, kTicketAad, plain));
   return out;
 }
 
-Result<TicketClaims> TicketIssuer::redeem(BytesView wire, Cycles now) {
+Result<TicketClaims> TicketIssuer::redeem(BytesView ticket, Cycles now) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (wire.size() != 8 + 16 + kPlainBytes) return Errc::verification_failed;
-
-  crypto::SealedBox box;
-  box.nonce = read_u64(wire, 0);
-  std::copy(wire.begin() + 8, wire.begin() + 24, box.tag.begin());
-  box.ciphertext.assign(wire.begin() + 24, wire.end());
-
-  auto plain = aead_.open(box, kTicketAad);
-  if (!plain || plain->size() != kPlainBytes)
+  if (ticket.size() != crypto::kSealedBoxHeaderBytes + kPlainBytes)
     return Errc::verification_failed;
+  auto box = crypto::parse_sealed_box(ticket);
+  if (!box) return Errc::verification_failed;
+  auto plain = aead_.open(*box, kTicketAad);
+  if (!plain) return Errc::verification_failed;
 
+  wire::ByteReader r(*plain);
   TicketClaims claims;
-  std::copy(plain->begin(), plain->begin() + 32, claims.measurement.begin());
-  claims.secret.assign(plain->begin() + 32,
-                       plain->begin() + 32 + kSecretBytes);
-  claims.expiry = read_u64(*plain, 32 + kSecretBytes);
-  claims.id = read_u64(*plain, 32 + kSecretBytes + 8);
-  if (claims.id != box.nonce) return Errc::verification_failed;
+  auto measurement = r.bytes(claims.measurement.size());
+  auto secret = r.bytes(kSecretBytes);
+  auto expiry = r.u64();
+  auto id = r.u64();
+  if (!measurement || !secret || !expiry || !id || *id != box->nonce)
+    return Errc::verification_failed;
+  std::copy(measurement->begin(), measurement->end(),
+            claims.measurement.begin());
+  claims.secret.assign(secret->begin(), secret->end());
+  claims.expiry = *expiry;
+  claims.id = *id;
 
   // Prune on every redeem attempt, before any outcome: an expired id can
   // never redeem again, so remembering it is pure state. This bounds the

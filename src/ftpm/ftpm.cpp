@@ -168,41 +168,16 @@ Result<Bytes> Ftpm::seal_to_pcrs(const std::vector<std::size_t>& selection,
   machine_.advance(command_cost());
 
   const crypto::Aead aead = sealing_aead(pcrs_.composite(selection));
-  const crypto::SealedBox box = aead.seal(seal_pcr_nonce_++, {}, plaintext);
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(selection.size()));
-  for (const std::size_t index : selection)
-    out.push_back(static_cast<std::uint8_t>(index));
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(box.nonce >> (8 * i)));
-  out.insert(out.end(), box.tag.begin(), box.tag.end());
-  out.insert(out.end(), box.ciphertext.begin(), box.ciphertext.end());
-  return out;
+  return tpm::encode_pcr_sealed(selection,
+                                aead.seal(seal_pcr_nonce_++, {}, plaintext));
 }
 
 Result<Bytes> Ftpm::unseal_pcrs(BytesView sealed) {
   machine_.advance(command_cost());
-  if (sealed.size() < 1) return Errc::invalid_argument;
-  const std::size_t sel_len = sealed[0];
-  if (sealed.size() < 1 + sel_len + 8 + 16) return Errc::invalid_argument;
-  std::vector<std::size_t> selection;
-  for (std::size_t i = 0; i < sel_len; ++i) {
-    if (sealed[1 + i] >= kNumPcrs) return Errc::invalid_argument;
-    selection.push_back(sealed[1 + i]);
-  }
-  std::size_t offset = 1 + sel_len;
-  crypto::SealedBox box;
-  for (int i = 0; i < 8; ++i)
-    box.nonce = (box.nonce << 8) | sealed[offset + i];
-  offset += 8;
-  std::copy(sealed.begin() + static_cast<long>(offset),
-            sealed.begin() + static_cast<long>(offset + 16), box.tag.begin());
-  offset += 16;
-  box.ciphertext.assign(sealed.begin() + static_cast<long>(offset),
-                        sealed.end());
-
-  const crypto::Aead aead = sealing_aead(pcrs_.composite(selection));
-  auto plain = aead.open(box, {});
+  auto parsed = tpm::decode_pcr_sealed(sealed);
+  if (!parsed) return parsed.error();
+  const crypto::Aead aead = sealing_aead(pcrs_.composite(parsed->selection));
+  auto plain = aead.open(parsed->box, {});
   if (!plain) return Errc::verification_failed;
   return std::move(*plain);
 }

@@ -2,54 +2,10 @@
 
 #include <utility>
 
+#include "util/wire.h"
+
 namespace lateral::health {
 namespace {
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_bytes(Bytes& out, BytesView v) {
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-bool get_u64(BytesView wire, std::size_t* offset, std::uint64_t* v) {
-  if (*offset > wire.size() || wire.size() - *offset < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v = (*v << 8) | wire[*offset + i];
-  *offset += 8;
-  return true;
-}
-
-bool get_u16(BytesView wire, std::size_t* offset, std::uint16_t* v) {
-  if (*offset > wire.size() || wire.size() - *offset < 2) return false;
-  *v = static_cast<std::uint16_t>((wire[*offset] << 8) | wire[*offset + 1]);
-  *offset += 2;
-  return true;
-}
-
-bool get_string(BytesView wire, std::size_t* offset, std::string* s) {
-  std::uint16_t len = 0;
-  if (!get_u16(wire, offset, &len)) return false;
-  if (wire.size() - *offset < len) return false;
-  s->assign(reinterpret_cast<const char*>(wire.data() + *offset), len);
-  *offset += len;
-  return true;
-}
-
-bool get_digest(BytesView wire, std::size_t* offset, crypto::Digest* d) {
-  if (wire.size() - *offset < d->size()) return false;
-  std::copy_n(wire.begin() + static_cast<std::ptrdiff_t>(*offset), d->size(),
-              d->begin());
-  *offset += d->size();
-  return true;
-}
 
 constexpr crypto::Digest kGenesis{};  // head before the first record
 
@@ -59,97 +15,104 @@ constexpr crypto::Digest kGenesis{};  // head before the first record
 
 Bytes AuditRecord::encode() const {
   Bytes out;
-  out.reserve(20 + component.size() + detail.size());
-  put_u64(out, seq);
-  put_u64(out, at);
-  out.push_back(static_cast<std::uint8_t>(kind));
-  out.push_back(static_cast<std::uint8_t>(errc));
-  put_u16(out, static_cast<std::uint16_t>(component.size()));
-  put_bytes(out, to_bytes(component));
-  put_u16(out, static_cast<std::uint16_t>(detail.size()));
-  put_bytes(out, to_bytes(detail));
+  out.reserve(22 + component.size() + detail.size());
+  wire::ByteWriter w(out);
+  w.u64(seq);
+  w.u64(at);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u8(static_cast<std::uint8_t>(errc));
+  w.blob16(wire::as_bytes(component));
+  w.blob16(wire::as_bytes(detail));
   return out;
 }
 
-Result<AuditRecord> AuditRecord::decode(BytesView wire, std::size_t* offset) {
-  AuditRecord rec;
-  if (!get_u64(wire, offset, &rec.seq)) return Errc::invalid_argument;
-  std::uint64_t at = 0;
-  if (!get_u64(wire, offset, &at)) return Errc::invalid_argument;
-  rec.at = at;
-  if (wire.size() - *offset < 2) return Errc::invalid_argument;
-  rec.kind = static_cast<AuditKind>(wire[*offset]);
-  rec.errc = static_cast<Errc>(wire[*offset + 1]);
-  *offset += 2;
-  if (!get_string(wire, offset, &rec.component)) return Errc::invalid_argument;
-  if (!get_string(wire, offset, &rec.detail)) return Errc::invalid_argument;
-  return rec;
+Result<AuditRecord> AuditRecord::decode(BytesView in, std::size_t* offset) {
+  if (*offset > in.size()) return Errc::invalid_argument;
+  wire::ByteReader r(in.subspan(*offset));
+  auto seq = r.u64();
+  auto at = r.u64();
+  auto kind = r.u8();
+  auto errc = r.u8();
+  auto component = r.blob16();
+  auto detail = r.blob16();
+  if (!seq || !at || !kind || !errc || !component || !detail)
+    return Errc::invalid_argument;
+  // A byte naming no enumerator is malformed, not a value to carry on.
+  const auto known_kind = wire::enum8(*kind, kLastAuditKind);
+  const auto known_errc = wire::enum8(*errc, wire::kLastErrc);
+  if (!known_kind || !known_errc) return Errc::invalid_argument;
+  *offset += r.offset();
+  return AuditRecord{.seq = *seq,
+                     .at = *at,
+                     .kind = *known_kind,
+                     .errc = *known_errc,
+                     .component = std::string(wire::as_text(*component)),
+                     .detail = std::string(wire::as_text(*detail))};
 }
 
 Bytes AuditSeal::encode() const {
   Bytes out;
   out.reserve(24 + head.size());
-  put_u64(out, epoch);
-  put_u64(out, first_seq);
-  put_u64(out, last_seq);
-  put_bytes(out, crypto::digest_view(head));
+  wire::ByteWriter w(out);
+  w.u64(epoch);
+  w.u64(first_seq);
+  w.u64(last_seq);
+  w.bytes(head);
   return out;
 }
 
-Result<AuditSeal> AuditSeal::decode(BytesView wire) {
-  AuditSeal seal;
-  std::size_t offset = 0;
-  if (!get_u64(wire, &offset, &seal.epoch) ||
-      !get_u64(wire, &offset, &seal.first_seq) ||
-      !get_u64(wire, &offset, &seal.last_seq) ||
-      !get_digest(wire, &offset, &seal.head) || offset != wire.size())
+Result<AuditSeal> AuditSeal::decode(BytesView in) {
+  wire::ByteReader r(in);
+  auto epoch = r.u64();
+  auto first_seq = r.u64();
+  auto last_seq = r.u64();
+  auto head = r.bytes(crypto::Digest{}.size());
+  if (!epoch || !first_seq || !last_seq || !head || !r.finish().ok())
     return Errc::invalid_argument;
+  AuditSeal seal{.epoch = *epoch, .first_seq = *first_seq,
+                 .last_seq = *last_seq};
+  std::copy(head->begin(), head->end(), seal.head.begin());
   return seal;
 }
 
 Bytes AuditSegment::serialize() const {
   Bytes out;
-  put_bytes(out, crypto::digest_view(prev_head));
-  put_u64(out, records.size());
-  for (const AuditRecord& rec : records) put_bytes(out, rec.encode());
-  const Bytes seal_wire = seal.encode();
-  put_u64(out, seal_wire.size());
-  put_bytes(out, seal_wire);
-  const Bytes quote_wire = quote.serialize();
-  put_u64(out, quote_wire.size());
-  put_bytes(out, quote_wire);
+  wire::ByteWriter w(out);
+  w.bytes(prev_head);
+  w.u64(records.size());
+  for (const AuditRecord& rec : records) w.bytes(rec.encode());
+  w.blob64(seal.encode());
+  w.blob64(quote.serialize());
   return out;
 }
 
-Result<AuditSegment> AuditSegment::deserialize(BytesView wire) {
+Result<AuditSegment> AuditSegment::deserialize(BytesView in) {
+  wire::ByteReader r(in);
   AuditSegment seg;
-  std::size_t offset = 0;
-  if (!get_digest(wire, &offset, &seg.prev_head))
-    return Errc::invalid_argument;
-  std::uint64_t count = 0;
-  if (!get_u64(wire, &offset, &count)) return Errc::invalid_argument;
-  if (count > wire.size()) return Errc::invalid_argument;  // length bomb
-  seg.records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto rec = AuditRecord::decode(wire, &offset);
+  auto prev_head = r.bytes(seg.prev_head.size());
+  auto count = r.u64();
+  if (!prev_head || !count) return Errc::invalid_argument;
+  if (*count > r.remaining()) return Errc::invalid_argument;  // length bomb
+  std::copy(prev_head->begin(), prev_head->end(), seg.prev_head.begin());
+  std::size_t offset = r.offset();
+  seg.records.reserve(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    auto rec = AuditRecord::decode(in, &offset);
     if (!rec) return rec.error();
     seg.records.push_back(*std::move(rec));
   }
-  std::uint64_t seal_len = 0;
-  if (!get_u64(wire, &offset, &seal_len) || wire.size() - offset < seal_len)
-    return Errc::invalid_argument;
-  auto seal = AuditSeal::decode(wire.subspan(offset, seal_len));
+  wire::ByteReader tail(in.subspan(offset));
+  auto seal_wire = tail.blob64();
+  if (!seal_wire) return seal_wire.error();
+  auto seal = AuditSeal::decode(*seal_wire);
   if (!seal) return seal.error();
   seg.seal = *seal;
-  offset += seal_len;
-  std::uint64_t quote_len = 0;
-  if (!get_u64(wire, &offset, &quote_len) || wire.size() - offset < quote_len)
-    return Errc::invalid_argument;
-  auto quote = substrate::Quote::deserialize(wire.subspan(offset, quote_len));
+  auto quote_wire = tail.blob64();
+  if (!quote_wire) return quote_wire.error();
+  auto quote = substrate::Quote::deserialize(*quote_wire);
   if (!quote) return quote.error();
   seg.quote = *std::move(quote);
-  offset += quote_len;
-  if (offset != wire.size()) return Errc::invalid_argument;
+  if (const Status s = tail.finish(); !s.ok()) return s.error();
   return seg;
 }
 

@@ -73,6 +73,12 @@ constexpr std::string_view audit_kind_name(AuditKind k) {
   return "unknown";
 }
 
+/// The last AuditKind: a wire byte past it names no kind.
+inline constexpr AuditKind kLastAuditKind = AuditKind::escalation;
+static_assert(audit_kind_name(static_cast<AuditKind>(
+                  static_cast<int>(kLastAuditKind) + 1)) == "unknown",
+              "AuditKind grew: move kLastAuditKind to its new last kind");
+
 /// One audit record. `encode()` is the canonical byte form the hash chain
 /// and the wire format both use — any representational drift would be a
 /// self-inflicted tamper alarm, so there is exactly one encoding.

@@ -1,39 +1,38 @@
 #include "net/remote.h"
 
+#include "util/wire.h"
+
 namespace lateral::net {
 
 Bytes encode_rpc_request(std::string_view method, BytesView payload) {
   Bytes out;
   out.reserve(2 + method.size() + payload.size());
-  out.push_back(static_cast<std::uint8_t>(method.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(method.size()));
-  out.insert(out.end(), method.begin(), method.end());
-  out.insert(out.end(), payload.begin(), payload.end());
+  wire::ByteWriter w(out);
+  w.blob16(wire::as_bytes(method));
+  w.bytes(payload);
   return out;
 }
 
 Result<RpcRequest> decode_rpc_request(BytesView plain) {
-  if (plain.size() < 2) return Errc::invalid_argument;
-  const std::size_t method_len = (std::size_t(plain[0]) << 8) | plain[1];
-  if (plain.size() < 2 + method_len) return Errc::invalid_argument;
-  return RpcRequest{
-      .method = std::string_view(
-          reinterpret_cast<const char*>(plain.data()) + 2, method_len),
-      .payload = plain.subspan(2 + method_len)};
+  wire::ByteReader r(plain);
+  auto method = r.blob16();
+  if (!method) return method.error();
+  return RpcRequest{.method = wire::as_text(*method), .payload = r.rest()};
 }
 
 Bytes encode_rpc_reply(Errc error, BytesView payload) {
   const bool ok = error == Errc::ok;
   Bytes out;
   out.reserve(1 + (ok ? payload.size() : 0));
-  out.push_back(static_cast<std::uint8_t>(error));
-  if (ok) out.insert(out.end(), payload.begin(), payload.end());
+  wire::ByteWriter w(out);
+  w.u8(static_cast<std::uint8_t>(error));
+  if (ok) w.bytes(payload);
   return out;
 }
 
 Result<Bytes> decode_rpc_reply(Bytes plain) {
   if (plain.empty()) return Errc::invalid_argument;
-  const Errc remote_error = static_cast<Errc>(plain[0]);
+  const Errc remote_error = wire::errc8(plain[0]);
   if (remote_error != Errc::ok) return remote_error;
   plain.erase(plain.begin());
   return plain;

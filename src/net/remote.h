@@ -44,7 +44,8 @@ Result<RpcRequest> decode_rpc_request(BytesView plain);
 Bytes encode_rpc_reply(Errc error, BytesView payload);
 
 /// Unwrap a reply in place: the payload keeps the plaintext's buffer, and
-/// the remote error code travels back as the Result error.
+/// the remote error code travels back as the Result error (an error byte
+/// past the last Errc reads as invalid_argument).
 Result<Bytes> decode_rpc_reply(Bytes plain);
 
 /// Server side: dispatches incoming records to registered methods.

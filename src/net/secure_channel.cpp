@@ -3,29 +3,14 @@
 #include <algorithm>
 
 #include "crypto/sha256.h"
+#include "util/wire.h"
 
 namespace lateral::net {
 namespace {
 
-void append_blob(Bytes& out, BytesView blob) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(blob.size() >> (8 * i)));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Result<Bytes> read_blob(BytesView wire, std::size_t& offset) {
-  if (offset + 4 > wire.size()) return Errc::invalid_argument;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len = (len << 8) | wire[offset++];
-  if (offset + len > wire.size()) return Errc::invalid_argument;
-  Bytes out(wire.begin() + static_cast<long>(offset),
-            wire.begin() + static_cast<long>(offset + len));
-  offset += len;
-  return out;
-}
-
-// A record on the wire: [u64 nonce | 16B tag | ciphertext].
-constexpr std::size_t kRecordHeaderBytes = 8 + 16;
+// A record on the wire is a sealed box, [u64 nonce | 16B tag | ciphertext],
+// written and read in place.
+constexpr std::size_t kRecordHeaderBytes = crypto::kSealedBoxHeaderBytes;
 
 // Record AAD per direction, so a record cannot be reflected to its sender.
 const Bytes kI2rAad = to_bytes("i2r");
@@ -89,30 +74,30 @@ Result<Bytes> SecureChannelEndpoint::start() {
                            : drbg_.generate(32);
   dh_i_wire_ = dh_.public_key.to_bytes();
   Bytes msg1;
-  append_blob(msg1, dh_i_wire_);
-  append_blob(msg1, nonce_local_);
+  wire::ByteWriter w(msg1);
+  w.blob32(dh_i_wire_);
+  w.blob32(nonce_local_);
   return msg1;
 }
 
 Result<Bytes> SecureChannelEndpoint::handle_msg1(BytesView msg1) {
   if (role_ != Role::responder) return Errc::invalid_argument;
-  std::size_t offset = 0;
-  auto dh_i = read_blob(msg1, offset);
-  if (!dh_i) return dh_i.error();
-  auto nonce_i = read_blob(msg1, offset);
-  if (!nonce_i) return nonce_i.error();
-  if (offset != msg1.size()) return Errc::invalid_argument;
+  wire::ByteReader r(msg1);
+  auto dh_i = r.blob32();
+  auto nonce_i = r.blob32();
+  if (!dh_i || !nonce_i || !r.finish().ok()) return Errc::invalid_argument;
 
-  dh_i_wire_ = std::move(*dh_i);
-  nonce_peer_ = std::move(*nonce_i);
+  dh_i_wire_.assign(dh_i->begin(), dh_i->end());
+  nonce_peer_.assign(nonce_i->begin(), nonce_i->end());
   peer_dh_ = crypto::Bignum::from_bytes(dh_i_wire_);
   dh_r_wire_ = dh_.public_key.to_bytes();
   nonce_local_ = verifier_ ? verifier_->verifier->make_challenge()
                            : drbg_.generate(32);
 
   Bytes msg2;
-  append_blob(msg2, dh_r_wire_);
-  append_blob(msg2, nonce_local_);
+  wire::ByteWriter w(msg2);
+  w.blob32(dh_r_wire_);
+  w.blob32(nonce_local_);
 
   // Attest ourselves against the peer's challenge, bound to this exchange.
   Bytes quote_wire;
@@ -123,7 +108,7 @@ Result<Bytes> SecureChannelEndpoint::handle_msg1(BytesView msg1) {
     if (!quote) return quote.error();
     quote_wire = std::move(*quote);
   }
-  append_blob(msg2, quote_wire);
+  w.blob32(quote_wire);
 
   if (const Status s = derive_keys(); !s.ok()) return s.error();
   return msg2;
@@ -131,17 +116,15 @@ Result<Bytes> SecureChannelEndpoint::handle_msg1(BytesView msg1) {
 
 Result<Bytes> SecureChannelEndpoint::handle_msg2(BytesView msg2) {
   if (role_ != Role::initiator) return Errc::invalid_argument;
-  std::size_t offset = 0;
-  auto dh_r = read_blob(msg2, offset);
-  if (!dh_r) return dh_r.error();
-  auto nonce_r = read_blob(msg2, offset);
-  if (!nonce_r) return nonce_r.error();
-  auto quote_wire = read_blob(msg2, offset);
-  if (!quote_wire) return quote_wire.error();
-  if (offset != msg2.size()) return Errc::invalid_argument;
+  wire::ByteReader r(msg2);
+  auto dh_r = r.blob32();
+  auto nonce_r = r.blob32();
+  auto quote_wire = r.blob32();
+  if (!dh_r || !nonce_r || !quote_wire || !r.finish().ok())
+    return Errc::invalid_argument;
 
-  dh_r_wire_ = std::move(*dh_r);
-  nonce_peer_ = std::move(*nonce_r);
+  dh_r_wire_.assign(dh_r->begin(), dh_r->end());
+  nonce_peer_.assign(nonce_r->begin(), nonce_r->end());
   peer_dh_ = crypto::Bignum::from_bytes(dh_r_wire_);
 
   if (verifier_) {
@@ -162,7 +145,7 @@ Result<Bytes> SecureChannelEndpoint::handle_msg2(BytesView msg2) {
     if (!quote) return quote.error();
     my_quote = std::move(*quote);
   }
-  append_blob(msg3, my_quote);
+  wire::ByteWriter(msg3).blob32(my_quote);
 
   if (const Status s = derive_keys(); !s.ok()) return s.error();
   establish();
@@ -171,10 +154,9 @@ Result<Bytes> SecureChannelEndpoint::handle_msg2(BytesView msg2) {
 
 Status SecureChannelEndpoint::handle_msg3(BytesView msg3) {
   if (role_ != Role::responder) return Errc::invalid_argument;
-  std::size_t offset = 0;
-  auto quote_wire = read_blob(msg3, offset);
-  if (!quote_wire) return quote_wire.error();
-  if (offset != msg3.size()) return Errc::invalid_argument;
+  wire::ByteReader r(msg3);
+  auto quote_wire = r.blob32();
+  if (!quote_wire || !r.finish().ok()) return Errc::invalid_argument;
 
   if (verifier_) {
     if (quote_wire->empty()) return Errc::verification_failed;
@@ -237,35 +219,33 @@ Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext,
   ++send_seq_;
 
   // One exactly-sized buffer; the plaintext is encrypted straight into it.
-  Bytes wire(prefix.size() + kRecordHeaderBytes + plaintext.size());
-  std::copy(prefix.begin(), prefix.end(), wire.begin());
-  std::uint8_t* record = wire.data() + prefix.size();
-  for (int i = 0; i < 8; ++i)
-    record[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  Bytes out(prefix.size() + kRecordHeaderBytes + plaintext.size());
+  std::copy(prefix.begin(), prefix.end(), out.begin());
+  std::uint8_t* record = out.data() + prefix.size();
+  wire::store_be64(record, nonce);
   const crypto::AeadTag tag =
       aead_->seal(nonce, role_ == Role::initiator ? kI2rAad : kR2iAad,
                   plaintext, record + kRecordHeaderBytes);
   std::copy(tag.begin(), tag.end(), record + 8);
-  return wire;
+  return out;
 }
 
-Result<Bytes> SecureChannelEndpoint::open_record(BytesView wire) {
+Result<Bytes> SecureChannelEndpoint::open_record(BytesView record) {
   if (!established_ || !aead_) return Errc::would_block;
-  if (wire.size() < kRecordHeaderBytes) return Errc::invalid_argument;
+  if (record.size() < kRecordHeaderBytes) return Errc::invalid_argument;
 
-  std::uint64_t nonce = 0;
-  for (int i = 0; i < 8; ++i) nonce = (nonce << 8) | wire[i];
+  const std::uint64_t nonce = wire::load_be64(record.data());
   // Strict ordering: the next record from the peer must carry exactly the
   // expected sequence number in the peer's nonce space.
   const std::uint64_t expected_nonce =
       (recv_seq_ << 1) | (role_ == Role::initiator ? 1 : 0);
   if (nonce != expected_nonce) return Errc::verification_failed;
 
-  const BytesView ciphertext = wire.subspan(kRecordHeaderBytes);
+  const BytesView ciphertext = record.subspan(kRecordHeaderBytes);
   Bytes plain(ciphertext.size());
   if (!aead_
            ->open(nonce, role_ == Role::initiator ? kR2iAad : kI2rAad,
-                  ciphertext, wire.subspan(8, 16), plain.data())
+                  ciphertext, record.subspan(8, 16), plain.data())
            .ok())
     return Errc::verification_failed;
   ++recv_seq_;

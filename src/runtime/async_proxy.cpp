@@ -3,71 +3,46 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/remote.h"
+#include "util/wire.h"
+
 namespace lateral::runtime {
 namespace {
-
-// Request: [u32 request_id | 16B trace ctx | u16 method_len | method |
-//           payload]
-// Reply:   [u32 request_id | u8 errc | payload (on success)]
-
-void put_u32(Bytes& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-std::uint32_t get_u32(BytesView in) {
-  return (std::uint32_t(in[0]) << 24) | (std::uint32_t(in[1]) << 16) |
-         (std::uint32_t(in[2]) << 8) | std::uint32_t(in[3]);
-}
-
-// Fixed prefix before method_len: request id + trace context.
-constexpr std::size_t kRequestPrefix = 4 + trace::kTraceContextWireBytes;
 
 Bytes encode_request(RequestId id, const trace::TraceContext& ctx,
                      const std::string& method, BytesView payload) {
   Bytes out;
-  put_u32(out, id);
+  wire::ByteWriter w(out);
+  w.u32(id);
   ctx.encode(out);
-  out.push_back(static_cast<std::uint8_t>(method.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(method.size()));
-  out.insert(out.end(), method.begin(), method.end());
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.bytes(net::encode_rpc_request(method, payload));
   return out;
 }
 
+/// A decoded request: the method and payload are views into the plaintext.
 struct DecodedRequest {
   RequestId id = 0;
   trace::TraceContext ctx;
-  std::string method;
-  Bytes payload;
+  net::RpcRequest rpc;
 };
 
 Result<DecodedRequest> decode_request(BytesView plain) {
-  if (plain.size() < kRequestPrefix + 2) return Errc::invalid_argument;
-  DecodedRequest out;
-  out.id = get_u32(plain);
-  out.ctx = trace::TraceContext::decode(plain.subspan(4));
-  const std::size_t method_len =
-      (std::size_t(plain[kRequestPrefix]) << 8) | plain[kRequestPrefix + 1];
-  if (plain.size() < kRequestPrefix + 2 + method_len)
-    return Errc::invalid_argument;
-  const auto method_begin =
-      plain.begin() + static_cast<long>(kRequestPrefix + 2);
-  out.method.assign(method_begin,
-                    method_begin + static_cast<long>(method_len));
-  out.payload.assign(method_begin + static_cast<long>(method_len),
-                     plain.end());
-  return out;
+  wire::ByteReader r(plain);
+  auto id = r.u32();
+  if (!id) return id.error();
+  auto ctx = r.bytes(trace::kTraceContextWireBytes);
+  if (!ctx) return ctx.error();
+  auto rpc = net::decode_rpc_request(r.rest());
+  if (!rpc) return rpc.error();
+  return DecodedRequest{
+      .id = *id, .ctx = trace::TraceContext::decode(*ctx), .rpc = *rpc};
 }
 
 Bytes encode_reply(RequestId id, Errc error, BytesView payload) {
   Bytes out;
-  put_u32(out, id);
-  out.push_back(static_cast<std::uint8_t>(error));
-  if (error == Errc::ok)
-    out.insert(out.end(), payload.begin(), payload.end());
+  wire::ByteWriter w(out);
+  w.u32(id);
+  w.bytes(net::encode_rpc_reply(error, payload));
   return out;
 }
 
@@ -101,17 +76,17 @@ Result<std::vector<Bytes>> AsyncRemoteDispatcher::handle_burst(
       // A malformed-but-authentic request still has a slot in the burst;
       // answer it (salvaging the id when the prefix survived) so the
       // client's matcher surfaces the problem instead of hanging.
-      const RequestId id = plain->size() >= 4 ? get_u32(*plain) : 0;
+      const RequestId id = wire::ByteReader(*plain).u32().value_or(0);
       reply_plain = encode_reply(id, Errc::invalid_argument, {});
     } else {
-      const auto it = methods_.find(request->method);
+      const auto it = methods_.find(request->rpc.method);
       if (it == methods_.end()) {
         reply_plain = encode_reply(request->id, Errc::invalid_argument, {});
       } else {
         // Run the method under the client's trace context: substrate
         // crossings it makes chain under the remote caller's span.
         trace::TraceScope scope(request->ctx);
-        Result<Bytes> result = it->second(request->payload);
+        Result<Bytes> result = it->second(request->rpc.payload);
         reply_plain = result ? encode_reply(request->id, Errc::ok, *result)
                              : encode_reply(request->id, result.error(), {});
       }
@@ -226,18 +201,21 @@ Status AsyncRemoteProxy::flush() {
       unanswered = Errc::verification_failed;
       break;
     }
-    if (plain->size() < 5) continue;
+    wire::ByteReader r(*plain);
+    const auto id = r.u32();
+    if (!id || r.remaining() == 0) continue;
     // `sent` is in ascending id order; a reply naming an id outside this
     // burst, or one already answered, is dropped.
-    const RequestId id = get_u32(*plain);
     const auto call = std::lower_bound(
-        sent.begin(), sent.end(), id,
+        sent.begin(), sent.end(), *id,
         [](const PendingCall& c, RequestId v) { return c.id < v; });
     const auto index = static_cast<std::size_t>(call - sent.begin());
-    if (call == sent.end() || call->id != id || answered[index]) continue;
+    if (call == sent.end() || call->id != *id || answered[index]) continue;
     answered[index] = true;
-    CqEvent event{id, static_cast<Errc>((*plain)[4]), {}, 0};
-    if (event.ok()) event.payload.assign(plain->begin() + 5, plain->end());
+    const BytesView rest = r.rest();
+    auto reply = net::decode_rpc_reply(Bytes(rest.begin(), rest.end()));
+    CqEvent event{*id, reply.error(), {}, 0};
+    if (reply) event.payload = std::move(*reply);
     if (config_.clock) {
       event.cycles = now - call->submitted_at;
       if (event.cycles > 0) {
@@ -246,7 +224,7 @@ Status AsyncRemoteProxy::flush() {
       }
     }
     ++counters_->completed;
-    completions_.emplace(id, std::move(event));
+    completions_.emplace(*id, std::move(event));
   }
   for (std::size_t i = 0; i < burst; ++i) {
     if (answered[i]) continue;

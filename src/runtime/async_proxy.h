@@ -17,10 +17,10 @@
 // the usual runtime contract (bounded depth, Errc-surfaced backpressure,
 // cancellation before flush, lossless accounting) applies.
 //
-// Wire formats (inside AEAD records):
-//   request: [u32 request_id | 16B trace ctx | u16 method_len | method |
-//             payload]
-//   reply:   [u32 request_id | u8 errc | payload (when errc == ok)]
+// Wire formats (inside AEAD records): the synchronous RPC codec
+// (net/remote.h) behind the async prefix —
+//   request: [u32 request_id | 16B trace ctx] ++ net::encode_rpc_request
+//   reply:   [u32 request_id] ++ net::encode_rpc_reply
 //
 // The 16-byte TraceContext travels inside the authenticated plaintext —
 // a remote trace id is integrity-protected exactly like the request id —
@@ -65,7 +65,7 @@ class AsyncRemoteDispatcher {
 
  private:
   net::SecureChannelEndpoint& channel_;
-  std::map<std::string, Method> methods_;
+  std::map<std::string, Method, std::less<>> methods_;
 };
 
 struct AsyncProxyConfig {

@@ -1,6 +1,7 @@
 #include "sep/sep.h"
 
 #include "crypto/hmac.h"
+#include "util/wire.h"
 
 namespace lateral::sep {
 
@@ -48,10 +49,8 @@ crypto::Digest Sep::inline_mac(hw::PhysAddr page_addr, std::uint64_t version,
                                BytesView ciphertext) const {
   crypto::Hmac mac = inline_.mac;
   std::uint8_t header[16];
-  for (int i = 0; i < 8; ++i) {
-    header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));
-    header[8 + i] = static_cast<std::uint8_t>(version >> (56 - 8 * i));
-  }
+  wire::store_be64(header, page_addr);
+  wire::store_be64(header + 8, version);
   mac.update(BytesView(header, sizeof(header)));
   mac.update(ciphertext);
   return mac.finish();

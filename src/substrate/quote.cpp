@@ -1,81 +1,48 @@
 #include "substrate/quote.h"
 
+#include "util/wire.h"
+
 namespace lateral::substrate {
-namespace {
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_blob(Bytes& out, BytesView blob) {
-  append_u32(out, static_cast<std::uint32_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Result<Bytes> read_blob(BytesView wire, std::size_t& offset) {
-  if (offset + 4 > wire.size()) return Errc::invalid_argument;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len = (len << 8) | wire[offset++];
-  if (offset + len > wire.size()) return Errc::invalid_argument;
-  Bytes out(wire.begin() + static_cast<long>(offset),
-            wire.begin() + static_cast<long>(offset + len));
-  offset += len;
-  return out;
-}
-
-}  // namespace
 
 Bytes Quote::signed_body() const {
   Bytes body;
-  append_blob(body, to_bytes(substrate_name));
-  append_blob(body, crypto::digest_view(measurement));
-  append_blob(body, user_data);
+  wire::ByteWriter w(body);
+  w.blob32(wire::as_bytes(substrate_name));
+  w.blob32(measurement);
+  w.blob32(user_data);
   return body;
 }
 
 Bytes Quote::serialize() const {
-  Bytes out;
-  append_blob(out, to_bytes(substrate_name));
-  append_blob(out, crypto::digest_view(measurement));
-  append_blob(out, user_data);
-  append_blob(out, ek_pub.serialize());
-  append_blob(out, ek_cert);
-  append_blob(out, signature);
+  Bytes out = signed_body();
+  wire::ByteWriter w(out);
+  w.blob32(ek_pub.serialize());
+  w.blob32(ek_cert);
+  w.blob32(signature);
   return out;
 }
 
-Result<Quote> Quote::deserialize(BytesView wire) {
-  std::size_t offset = 0;
+Result<Quote> Quote::deserialize(BytesView in) {
+  wire::ByteReader r(in);
+  auto name = r.blob32();
+  auto meas = r.blob32();
+  auto user = r.blob32();
+  auto ek_wire = r.blob32();
+  auto cert = r.blob32();
+  auto sig = r.blob32();
+  if (!name || !meas || !user || !ek_wire || !cert || !sig ||
+      !r.finish().ok())
+    return Errc::invalid_argument;
   Quote q;
-  auto name = read_blob(wire, offset);
-  if (!name) return name.error();
-  q.substrate_name = to_string(*name);
-
-  auto meas = read_blob(wire, offset);
-  if (!meas) return meas.error();
   if (meas->size() != q.measurement.size()) return Errc::invalid_argument;
-  std::copy(meas->begin(), meas->end(), q.measurement.begin());
-
-  auto user = read_blob(wire, offset);
-  if (!user) return user.error();
-  q.user_data = std::move(*user);
-
-  auto ek_wire = read_blob(wire, offset);
-  if (!ek_wire) return ek_wire.error();
   auto ek = crypto::RsaPublicKey::deserialize(*ek_wire);
   if (!ek) return ek.error();
+  q.substrate_name = std::string(wire::as_text(*name));
+  std::copy(meas->begin(), meas->end(), q.measurement.begin());
+  q.user_data.assign(user->begin(), user->end());
   q.ek_pub = std::move(*ek);
-
-  auto cert = read_blob(wire, offset);
-  if (!cert) return cert.error();
-  q.ek_cert = std::move(*cert);
-
-  auto sig = read_blob(wire, offset);
-  if (!sig) return sig.error();
-  q.signature = std::move(*sig);
-
-  if (offset != wire.size()) return Errc::invalid_argument;
+  q.ek_cert.assign(cert->begin(), cert->end());
+  q.signature.assign(sig->begin(), sig->end());
   return q;
 }
 

@@ -876,12 +876,8 @@ Result<Bytes> IsolationSubstrate::seal(DomainId actor, BytesView plaintext) {
   machine_.charge(0, machine_.costs().sw_aes_per_16_bytes, plaintext.size());
 
   const crypto::Aead aead = sealing_aead(record->measurement);
-  const crypto::SealedBox box = aead.seal(seal_nonce_++, {}, plaintext);
   Bytes out;
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(box.nonce >> (8 * i)));
-  out.insert(out.end(), box.tag.begin(), box.tag.end());
-  out.insert(out.end(), box.ciphertext.begin(), box.ciphertext.end());
+  crypto::append_sealed_box(out, aead.seal(seal_nonce_++, {}, plaintext));
   return out;
 }
 
@@ -890,16 +886,12 @@ Result<Bytes> IsolationSubstrate::unseal(DomainId actor, BytesView sealed) {
   const DomainRecord* record = find_domain(actor);
   if (!has_feature(info().features, Feature::sealed_storage))
     return Errc::not_supported;
-  if (sealed.size() < 24) return Errc::invalid_argument;
+  auto box = crypto::parse_sealed_box(sealed);
+  if (!box) return box.error();
   machine_.charge(0, machine_.costs().sw_aes_per_16_bytes, sealed.size());
 
-  crypto::SealedBox box;
-  for (int i = 0; i < 8; ++i) box.nonce = (box.nonce << 8) | sealed[i];
-  std::copy(sealed.begin() + 8, sealed.begin() + 24, box.tag.begin());
-  box.ciphertext.assign(sealed.begin() + 24, sealed.end());
-
   const crypto::Aead aead = sealing_aead(record->measurement);
-  auto plain = aead.open(box, {});
+  auto plain = aead.open(*box, {});
   if (!plain) return Errc::verification_failed;
   return std::move(*plain);
 }

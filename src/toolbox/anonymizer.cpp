@@ -1,39 +1,31 @@
 #include "toolbox/anonymizer.h"
 
+#include "util/wire.h"
+
 namespace lateral::toolbox {
-namespace {
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t read_u64(BytesView wire, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | wire[offset + i];
-  return v;
-}
-
-}  // namespace
 
 Bytes encode_reading(const Reading& reading) {
   Bytes out;
   out.reserve(kReadingWireBytes);
-  append_u64(out, reading.household);
-  append_u64(out, reading.bucket);
+  wire::ByteWriter w(out);
+  w.u64(reading.household);
+  w.u64(reading.bucket);
   // Milli-kWh resolution: enough for any meter, and integer on the wire so
   // the codec round-trips bit-exactly across platforms.
-  append_u64(out, static_cast<std::uint64_t>(reading.kwh * 1000.0 + 0.5));
+  w.u64(static_cast<std::uint64_t>(reading.kwh * 1000.0 + 0.5));
   return out;
 }
 
-Result<Reading> decode_reading(BytesView wire) {
-  if (wire.size() != kReadingWireBytes) return Errc::invalid_argument;
-  Reading reading;
-  reading.household = read_u64(wire, 0);
-  reading.bucket = read_u64(wire, 8);
-  reading.kwh = static_cast<double>(read_u64(wire, 16)) / 1000.0;
-  return reading;
+Result<Reading> decode_reading(BytesView in) {
+  wire::ByteReader r(in);
+  auto household = r.u64();
+  auto bucket = r.u64();
+  auto milli_kwh = r.u64();
+  if (!household || !bucket || !milli_kwh || !r.finish().ok())
+    return Errc::invalid_argument;
+  return Reading{.household = *household,
+                 .bucket = *bucket,
+                 .kwh = static_cast<double>(*milli_kwh) / 1000.0};
 }
 
 Anonymizer::Anonymizer(std::size_t k) : k_(k) {

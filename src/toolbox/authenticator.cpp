@@ -1,6 +1,7 @@
 #include "toolbox/authenticator.h"
 
 #include "substrate/quote.h"
+#include "util/wire.h"
 
 namespace lateral::toolbox {
 namespace {
@@ -23,8 +24,7 @@ crypto::Digest PasswordlessAuthenticator::token_mac(
     std::uint64_t serial, const crypto::Digest& device) const {
   crypto::Hmac mac(token_key_);
   std::uint8_t serial_be[8];
-  for (int i = 0; i < 8; ++i)
-    serial_be[i] = static_cast<std::uint8_t>(serial >> (56 - 8 * i));
+  wire::store_be64(serial_be, serial);
   mac.update(BytesView(serial_be, 8));
   mac.update(crypto::digest_view(device));
   return mac.finish();
@@ -47,22 +47,21 @@ Result<SessionToken> PasswordlessAuthenticator::complete(BytesView quote_wire,
   // Token = serial || HMAC(key, serial || device-fingerprint).
   SessionToken token;
   token.serial = serial;
-  for (int i = 7; i >= 0; --i)
-    token.token.push_back(static_cast<std::uint8_t>(serial >> (8 * i)));
-  const crypto::Digest mac = token_mac(serial, device);
-  token.token.insert(token.token.end(), mac.begin(), mac.end());
+  wire::ByteWriter w(token.token);
+  w.u64(serial);
+  w.bytes(token_mac(serial, device));
   return token;
 }
 
 Status PasswordlessAuthenticator::validate(BytesView token) const {
-  if (token.size() != 8 + 32) return Errc::verification_failed;
-  std::uint64_t serial = 0;
-  for (int i = 0; i < 8; ++i) serial = (serial << 8) | token[i];
-  const auto it = active_.find(serial);
+  wire::ByteReader r(token);
+  auto serial = r.u64();
+  auto mac = r.bytes(32);
+  if (!serial || !mac || !r.finish().ok()) return Errc::verification_failed;
+  const auto it = active_.find(*serial);
   if (it == active_.end()) return Errc::verification_failed;  // revoked/unknown
-  const crypto::Digest expected = token_mac(serial, it->second);
-  if (!ct_equal(BytesView(token.data() + 8, 32),
-                crypto::digest_view(expected)))
+  const crypto::Digest expected = token_mac(*serial, it->second);
+  if (!ct_equal(*mac, crypto::digest_view(expected)))
     return Errc::verification_failed;
   return Status::success();
 }

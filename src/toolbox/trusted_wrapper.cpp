@@ -49,13 +49,8 @@ Status TrustedStore::put(const std::string& key, BytesView value) {
   const std::uint64_t nonce = nonce_++;
   // AAD binds the ciphertext to its key: the legacy side cannot serve the
   // (authentic) value of key A for a request about key B.
-  const crypto::SealedBox box = aead_.seal(nonce, to_bytes(key), value);
-
   Bytes stored;
-  for (int i = 7; i >= 0; --i)
-    stored.push_back(static_cast<std::uint8_t>(box.nonce >> (8 * i)));
-  stored.insert(stored.end(), box.tag.begin(), box.tag.end());
-  stored.insert(stored.end(), box.ciphertext.begin(), box.ciphertext.end());
+  crypto::append_sealed_box(stored, aead_.seal(nonce, to_bytes(key), value));
 
   auto reply = os_.call_service("kv-put", kv_put_request(key, stored));
   if (!reply) return Errc::io_error;
@@ -67,23 +62,19 @@ Result<Bytes> TrustedStore::get(const std::string& key) {
   stats_.gets++;
   auto reply = os_.call_service("kv-get", to_bytes(key));
   if (!reply) return Errc::io_error;
-  if (reply->size() < 24) {
+  auto box = crypto::parse_sealed_box(*reply);
+  if (!box) {
     stats_.vetoed_replies++;
     return Errc::tamper_detected;
   }
-
-  crypto::SealedBox box;
-  for (int i = 0; i < 8; ++i) box.nonce = (box.nonce << 8) | (*reply)[i];
-  std::copy(reply->begin() + 8, reply->begin() + 24, box.tag.begin());
-  box.ciphertext.assign(reply->begin() + 24, reply->end());
 
   // Freshness: only the newest stored version of this key is acceptable.
   const auto latest = latest_nonce_.find(key);
-  if (latest == latest_nonce_.end() || box.nonce != latest->second) {
+  if (latest == latest_nonce_.end() || box->nonce != latest->second) {
     stats_.vetoed_replies++;
     return Errc::tamper_detected;
   }
-  auto plain = aead_.open(box, to_bytes(key));
+  auto plain = aead_.open(*box, to_bytes(key));
   if (!plain) {
     stats_.vetoed_replies++;
     return Errc::tamper_detected;

@@ -12,8 +12,10 @@
 #include <array>
 #include <vector>
 
+#include "crypto/aes.h"
 #include "crypto/sha256.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace lateral::tpm {
 
@@ -63,5 +65,40 @@ class PcrBank {
  private:
   std::array<crypto::Digest, kNumPcrs> pcrs_{};
 };
+
+/// A blob sealed to a PCR selection, as the TPM and the fTPM store it:
+/// [u8 n | n x u8 PCR index | sealed box].
+struct PcrSealed {
+  std::vector<std::size_t> selection;
+  crypto::SealedBox box;
+};
+
+inline Bytes encode_pcr_sealed(const std::vector<std::size_t>& selection,
+                               const crypto::SealedBox& box) {
+  Bytes out;
+  wire::ByteWriter w(out);
+  w.u8(static_cast<std::uint8_t>(selection.size()));
+  for (const std::size_t index : selection)
+    w.u8(static_cast<std::uint8_t>(index));
+  crypto::append_sealed_box(out, box);
+  return out;
+}
+
+/// Errc::invalid_argument on a short blob or an index outside the bank.
+inline Result<PcrSealed> decode_pcr_sealed(BytesView sealed) {
+  wire::ByteReader r(sealed);
+  auto count = r.u8();
+  if (!count) return count.error();
+  auto indices = r.bytes(*count);
+  if (!indices) return indices.error();
+  auto box = crypto::parse_sealed_box(r.rest());
+  if (!box) return box.error();
+  PcrSealed out{.selection = {}, .box = std::move(*box)};
+  for (const std::uint8_t index : *indices) {
+    if (index >= kNumPcrs) return Errc::invalid_argument;
+    out.selection.push_back(index);
+  }
+  return out;
+}
 
 }  // namespace lateral::tpm

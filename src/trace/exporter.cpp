@@ -5,6 +5,7 @@
 
 #include "core/composer.h"
 #include "core/policy.h"
+#include "util/wire.h"
 
 namespace lateral::trace {
 namespace {
@@ -41,9 +42,11 @@ std::string hex_bytes(const std::uint8_t* data, std::size_t len) {
 /// The opcode as protocol text ("FETC") when all four bytes are printable
 /// ASCII, else empty — the caller falls back to the numeric form.
 std::string opcode_text(std::uint32_t opcode) {
+  Bytes bytes;
+  wire::ByteWriter(bytes).u32(opcode);
   std::string out;
-  for (int i = 3; i >= 0; --i) {
-    const char c = static_cast<char>((opcode >> (8 * i)) & 0xff);
+  for (const std::uint8_t b : bytes) {
+    const char c = static_cast<char>(b);
     if (c == 0) break;  // short opcodes are left-aligned, zero-padded
     if (c < 0x20 || c > 0x7e) return {};
     out.push_back(c);

@@ -31,6 +31,7 @@
 // core and runtime.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "util/types.h"
+#include "util/wire.h"
 
 namespace lateral::trace {
 
@@ -65,25 +67,22 @@ struct TraceContext {
 
   bool sampled() const { return trace_id != 0 && (flags & kSampled) != 0; }
 
-  /// Append the 16-byte big-endian wire form to `out`.
+  /// Append the 16-byte wire form [u64 trace_id | u32 parent_span |
+  /// u32 flags] to `out`.
   void encode(Bytes& out) const {
-    for (int i = 7; i >= 0; --i)
-      out.push_back(static_cast<std::uint8_t>(trace_id >> (8 * i)));
-    for (int i = 3; i >= 0; --i)
-      out.push_back(static_cast<std::uint8_t>(parent_span >> (8 * i)));
-    for (int i = 3; i >= 0; --i)
-      out.push_back(static_cast<std::uint8_t>(flags >> (8 * i)));
+    wire::ByteWriter w(out);
+    w.u64(trace_id);
+    w.u32(parent_span);
+    w.u32(flags);
   }
 
-  /// Decode from a buffer of at least kTraceContextWireBytes.
+  /// Decode from a buffer of at least kTraceContextWireBytes; a shorter
+  /// one decodes to the zero ("no trace") context.
   static TraceContext decode(BytesView in) {
-    TraceContext ctx;
-    if (in.size() < kTraceContextWireBytes) return ctx;
-    for (int i = 0; i < 8; ++i) ctx.trace_id = (ctx.trace_id << 8) | in[i];
-    for (int i = 8; i < 12; ++i)
-      ctx.parent_span = (ctx.parent_span << 8) | in[i];
-    for (int i = 12; i < 16; ++i) ctx.flags = (ctx.flags << 8) | in[i];
-    return ctx;
+    if (in.size() < kTraceContextWireBytes) return {};
+    return TraceContext{.trace_id = wire::load_be64(in.data()),
+                        .parent_span = wire::load_be32(in.data() + 8),
+                        .flags = wire::load_be32(in.data() + 12)};
   }
 
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
@@ -173,9 +172,9 @@ struct SpanEvent {
   /// Record the opcode (always) and, when `capture` says the component
   /// opted in, the leading payload bytes.
   void note_payload(BytesView data, bool capture) {
-    opcode = 0;  // short payloads are zero-padded on the right
-    for (std::size_t i = 0; i < 4; ++i)
-      opcode = (opcode << 8) | (i < data.size() ? data[i] : 0u);
+    std::uint8_t head[4] = {};  // short payloads are zero-padded on the right
+    std::copy_n(data.begin(), std::min<std::size_t>(4, data.size()), head);
+    opcode = wire::load_be32(head);
     if (!capture) return;
     payload_len = static_cast<std::uint8_t>(
         data.size() < kCaptureBytes ? data.size() : kCaptureBytes);

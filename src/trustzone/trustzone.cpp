@@ -1,6 +1,7 @@
 #include "trustzone/trustzone.h"
 
 #include "crypto/hmac.h"
+#include "util/wire.h"
 
 namespace lateral::trustzone {
 
@@ -64,10 +65,8 @@ crypto::Digest TrustZone::sw_mee_mac(hw::PhysAddr page_addr,
                                      BytesView ciphertext) const {
   crypto::Hmac mac = sw_mee_->mac;
   std::uint8_t header[16];
-  for (int i = 0; i < 8; ++i) {
-    header[i] = static_cast<std::uint8_t>(page_addr >> (56 - 8 * i));
-    header[8 + i] = static_cast<std::uint8_t>(version >> (56 - 8 * i));
-  }
+  wire::store_be64(header, page_addr);
+  wire::store_be64(header + 8, version);
   mac.update(BytesView(header, sizeof(header)));
   mac.update(ciphertext);
   return mac.finish();

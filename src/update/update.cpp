@@ -3,22 +3,18 @@
 #include <algorithm>
 
 #include "runtime/region_pool.h"
+#include "util/wire.h"
 
 namespace lateral::update {
 
 namespace {
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
 
 /// Chunk header on the transfer channel: magic + destination offset. The
 /// target's handler acks the write; the bytes themselves travel by
 /// descriptor on the zero-copy path and inline on the copy fallback.
 Bytes chunk_header(std::uint64_t offset) {
   Bytes header = to_bytes("UPST");
-  put_u64(header, offset);
+  wire::ByteWriter(header).u64(offset);
   return header;
 }
 
@@ -26,15 +22,14 @@ Bytes chunk_header(std::uint64_t offset) {
 
 Bytes signing_bytes(const UpdateManifest& manifest) {
   Bytes out = to_bytes("lateral.update.manifest");
-  out.push_back(0);
-  out.insert(out.end(), manifest.component.begin(), manifest.component.end());
-  out.push_back(0);
-  put_u64(out, manifest.version);
-  put_u64(out, manifest.image_size);
-  out.insert(out.end(), manifest.image_hash.begin(),
-             manifest.image_hash.end());
-  out.insert(out.end(), manifest.new_measurement.begin(),
-             manifest.new_measurement.end());
+  wire::ByteWriter w(out);
+  w.u8(0);
+  w.bytes(wire::as_bytes(manifest.component));
+  w.u8(0);
+  w.u64(manifest.version);
+  w.u64(manifest.image_size);
+  w.bytes(manifest.image_hash);
+  w.bytes(manifest.new_measurement);
   return out;
 }
 

@@ -4,22 +4,12 @@
 #include <cstring>
 
 #include "crypto/sha256.h"
+#include "util/wire.h"
 
 namespace lateral::vpfs {
 namespace {
 
 constexpr std::size_t kStoredBlockSize = kVpfsBlockSize + 32;  // ct || mac
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint64_t read_u64(BytesView in, std::size_t& offset) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | in[offset++];
-  return v;
-}
 
 }  // namespace
 
@@ -41,13 +31,11 @@ std::uint64_t Vpfs::block_nonce(std::uint64_t file_id, std::size_t block,
   // hashing — AES-CTR reuse of a (key, nonce) pair would break
   // confidentiality.
   Bytes material;
-  append_u64(material, file_id);
-  append_u64(material, block);
-  append_u64(material, version);
-  const crypto::Digest d = crypto::Sha256::hash(material);
-  std::uint64_t nonce = 0;
-  for (int i = 0; i < 8; ++i) nonce = (nonce << 8) | d[i];
-  return nonce;
+  wire::ByteWriter w(material);
+  w.u64(file_id);
+  w.u64(block);
+  w.u64(version);
+  return wire::load_be64(crypto::Sha256::hash(material).data());
 }
 
 crypto::Digest Vpfs::block_mac(std::uint64_t file_id, std::size_t block,
@@ -55,9 +43,10 @@ crypto::Digest Vpfs::block_mac(std::uint64_t file_id, std::size_t block,
                                BytesView ciphertext) const {
   crypto::Hmac mac = keys_->mac;
   Bytes header;
-  append_u64(header, file_id);
-  append_u64(header, block);
-  append_u64(header, version);
+  wire::ByteWriter w(header);
+  w.u64(file_id);
+  w.u64(block);
+  w.u64(version);
   mac.update(header);
   mac.update(ciphertext);
   return mac.finish();
@@ -304,17 +293,17 @@ Vpfs::FsckReport Vpfs::fsck() const {
 
 Bytes Vpfs::serialize_meta() const {
   Bytes plain;
-  append_u64(plain, next_file_id_);
-  append_u64(plain, files_.size());
+  wire::ByteWriter w(plain);
+  w.u64(next_file_id_);
+  w.u64(files_.size());
   for (const auto& [name, file] : files_) {
-    append_u64(plain, name.size());
-    plain.insert(plain.end(), name.begin(), name.end());
-    append_u64(plain, file.file_id);
-    append_u64(plain, file.size);
-    append_u64(plain, file.blocks.size());
+    w.blob64(wire::as_bytes(name));
+    w.u64(file.file_id);
+    w.u64(file.size);
+    w.u64(file.blocks.size());
     for (const BlockMeta& block : file.blocks) {
-      append_u64(plain, block.version);
-      plain.insert(plain.end(), block.mac.begin(), block.mac.end());
+      w.u64(block.version);
+      w.bytes(block.mac);
     }
   }
   // Encrypt the whole table: file names and shapes are confidential too.
@@ -326,41 +315,41 @@ Status Vpfs::deserialize_meta(BytesView blob) {
   const Bytes plain =
       crypto::aes128_ctr(keys_->cipher, block_nonce(0, 0, commit_seq_), blob);
   files_.clear();
-  std::size_t offset = 0;
-  auto need = [&](std::size_t n) { return offset + n <= plain.size(); };
-  if (!need(16)) return Errc::tamper_detected;
-  next_file_id_ = read_u64(plain, offset);
-  const std::uint64_t file_count = read_u64(plain, offset);
-  for (std::uint64_t i = 0; i < file_count; ++i) {
-    if (!need(8)) return Errc::tamper_detected;
-    const std::uint64_t name_len = read_u64(plain, offset);
-    if (!need(name_len + 24)) return Errc::tamper_detected;
-    std::string name(plain.begin() + static_cast<long>(offset),
-                     plain.begin() + static_cast<long>(offset + name_len));
-    offset += name_len;
+  wire::ByteReader r(plain);
+  auto next_file_id = r.u64();
+  auto file_count = r.u64();
+  if (!next_file_id || !file_count) return Errc::tamper_detected;
+  next_file_id_ = *next_file_id;
+  for (std::uint64_t i = 0; i < *file_count; ++i) {
+    auto name = r.blob64();
+    auto file_id = r.u64();
+    auto size = r.u64();
+    auto block_count = r.u64();
+    if (!name || !file_id || !size || !block_count ||
+        *block_count > r.remaining() / 40)
+      return Errc::tamper_detected;
     FileMeta file;
-    file.file_id = read_u64(plain, offset);
-    file.size = read_u64(plain, offset);
-    const std::uint64_t block_count = read_u64(plain, offset);
-    if (!need(block_count * 40)) return Errc::tamper_detected;
-    file.blocks.resize(block_count);
-    for (std::uint64_t b = 0; b < block_count; ++b) {
-      file.blocks[b].version = read_u64(plain, offset);
-      std::copy(plain.begin() + static_cast<long>(offset),
-                plain.begin() + static_cast<long>(offset + 32),
-                file.blocks[b].mac.begin());
-      offset += 32;
+    file.file_id = *file_id;
+    file.size = *size;
+    file.blocks.resize(*block_count);
+    for (BlockMeta& block : file.blocks) {
+      auto version = r.u64();
+      auto mac = r.bytes(block.mac.size());
+      if (!version || !mac) return Errc::tamper_detected;
+      block.version = *version;
+      std::copy(mac->begin(), mac->end(), block.mac.begin());
     }
-    files_.emplace(std::move(name), std::move(file));
+    files_.emplace(std::string(wire::as_text(*name)), std::move(file));
   }
   return Status::success();
 }
 
 Status Vpfs::write_seal(const crypto::Digest& meta_digest) {
   Bytes state = raw_keys_;
-  state.insert(state.end(), meta_digest.begin(), meta_digest.end());
-  append_u64(state, commit_seq_);
-  append_u64(state, substrate_.machine().nv_counter());
+  wire::ByteWriter w(state);
+  w.bytes(meta_digest);
+  w.u64(commit_seq_);
+  w.u64(substrate_.machine().nv_counter());
   auto sealed = substrate_.seal(domain_, state);
   if (!sealed) return sealed.error();
   if (!backing_.exists(seal_path())) (void)backing_.create(seal_path());
@@ -393,8 +382,9 @@ Status Vpfs::sync() {
 
   // Step 3: journal the commit intent (jVPFS-style roll-forward record).
   Bytes record;
-  append_u64(record, new_seq);
-  record.insert(record.end(), meta_digest.begin(), meta_digest.end());
+  wire::ByteWriter w(record);
+  w.u64(new_seq);
+  w.bytes(meta_digest);
   crypto::Hmac mac = keys_->mac;
   mac.update(record);
   const crypto::Digest record_mac = mac.finish();
@@ -454,20 +444,23 @@ Result<std::unique_ptr<Vpfs>> Vpfs::mount(
   if (!sealed) return Errc::io_error;
   auto state = substrate.unseal(domain, *sealed);
   if (!state) return Errc::tamper_detected;
-  if (state->size() != 16 + 32 + 32 + 8 + 8) return Errc::tamper_detected;
+  wire::ByteReader r(*state);
+  auto raw_keys = r.bytes(48);
+  auto digest = r.bytes(crypto::Digest{}.size());
+  auto commit_seq = r.u64();
+  auto sealed_nv = r.u64();
+  if (!raw_keys || !digest || !commit_seq || !sealed_nv || !r.finish().ok())
+    return Errc::tamper_detected;
 
-  fs->raw_keys_.assign(state->begin(), state->begin() + 48);
+  fs->raw_keys_.assign(raw_keys->begin(), raw_keys->end());
   fs->keys_.emplace(fs->raw_keys_);
-  std::size_t offset = 48;
   crypto::Digest sealed_digest;
-  std::copy(state->begin() + 48, state->begin() + 80, sealed_digest.begin());
-  offset += 32;
-  fs->commit_seq_ = read_u64(*state, offset);
-  const std::uint64_t sealed_nv = read_u64(*state, offset);
+  std::copy(digest->begin(), digest->end(), sealed_digest.begin());
+  fs->commit_seq_ = *commit_seq;
 
   // 2. Freshness: an attacker replaying an old (seal, data) snapshot cannot
   //    rewind the on-chip counter.
-  if (sealed_nv != substrate.machine().nv_counter())
+  if (*sealed_nv != substrate.machine().nv_counter())
     return Errc::tamper_detected;
 
   // 3. Locate the metadata matching the sealed digest; complete an

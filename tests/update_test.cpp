@@ -23,6 +23,7 @@
 #include "tpm/tpm.h"
 #include "trace/trace.h"
 #include "update/update.h"
+#include "util/hex.h"
 
 namespace lateral::update {
 namespace {
@@ -583,6 +584,35 @@ TEST_F(UpdateOrchestratorTest, FleetServesAcrossUpdateAndRotatesTickets) {
   // Lossless across the whole update: every admitted request was served.
   EXPECT_EQ(admitted, served);
   EXPECT_EQ(admitted, 32u);
+}
+
+// --- Wire goldens -----------------------------------------------------------
+// The manifest's signed bytes and the transfer channel's chunk headers,
+// recorded before the codecs moved behind one reader and writer.
+
+using WireGolden = UpdateOrchestratorTest;
+
+TEST_F(WireGolden, UpdateSigningBytesAndChunkHeader) {
+  auto [manifest, image] = signed_update(1);
+  EXPECT_EQ(util::to_hex(crypto::digest_view(
+                crypto::Sha256::hash(signing_bytes(manifest)))),
+            "c3d0fa9bb7edc6d740b627e9354bbdd7dddb68e42cf58764da90bffd15544231");
+  Bytes headers;
+  ASSERT_TRUE(assembly_
+                  ->set_behavior("worker",
+                                 [&headers](const substrate::Invocation& inv)
+                                     -> Result<Bytes> {
+                                   if (inv.data.size() >= 12)
+                                     headers.insert(headers.end(),
+                                                    inv.data.begin(),
+                                                    inv.data.begin() + 12);
+                                   return Bytes{};
+                                 })
+                  .ok());
+  ASSERT_TRUE(orchestrator_->stage(manifest, image).ok());
+  EXPECT_EQ(util::to_hex(headers),
+            "555053540000000000000000" "555053540000000000000040"
+            "555053540000000000000080" "5550535400000000000000c0");
 }
 
 }  // namespace

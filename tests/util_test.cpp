@@ -9,6 +9,7 @@
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/types.h"
+#include "util/wire.h"
 
 namespace lateral {
 namespace {
@@ -167,6 +168,76 @@ TEST(Table, FormatsRatio) { EXPECT_EQ(util::fmt_ratio(2.5), "2.50x"); }
 TEST(TypesBytes, StringRoundTrip) {
   EXPECT_EQ(to_string(to_bytes("hello")), "hello");
   EXPECT_EQ(to_bytes("").size(), 0u);
+}
+
+// --- wire.h ---------------------------------------------------------------
+
+TEST(Wire, WritesBigEndianFieldsAndBlobs) {
+  Bytes out;
+  wire::ByteWriter w(out);
+  w.u8(0x01);
+  w.u32(0x02030405);
+  w.bytes(Bytes{0x06, 0x07});
+  w.u64(0x08090a0b0c0d0e0fULL);
+  w.blob16(to_bytes("ab"));
+  w.blob32(to_bytes("c"));
+  w.blob64({});
+  EXPECT_EQ(util::to_hex(out),
+            "01020304050607"
+            "08090a0b0c0d0e0f"
+            "00026162"
+            "0000000163"
+            "0000000000000000");
+  EXPECT_THROW(w.blob16(Bytes(0x10000, 0)), Error);
+}
+
+TEST(Wire, ReadsBackWhatWasWrittenAsViews) {
+  Bytes in;
+  wire::ByteWriter w(in);
+  w.u8(7);
+  w.blob32(to_bytes("payload"));
+  w.u64(9);
+  wire::ByteReader r(in);
+  EXPECT_EQ(*r.u8(), 7u);
+  const BytesView blob = *r.blob32();
+  EXPECT_EQ(to_string(blob), "payload");
+  EXPECT_EQ(blob.data(), in.data() + 1 + 4);  // a view, not a copy
+  EXPECT_FALSE(r.finish().ok());
+  EXPECT_EQ(*r.u64(), 9u);
+  EXPECT_TRUE(r.finish().ok());
+}
+
+TEST(Wire, ShortInputFailsWithoutConsuming) {
+  const Bytes in = {0x00, 0x00, 0x00, 0x05, 'x'};
+  wire::ByteReader r(in);
+  EXPECT_EQ(r.u64().error(), Errc::invalid_argument);
+  EXPECT_EQ(r.blob32().error(), Errc::invalid_argument);  // claims 5, has 1
+  EXPECT_EQ(r.bytes(6).error(), Errc::invalid_argument);
+  EXPECT_EQ(r.offset(), 0u);
+  EXPECT_EQ(*r.u32(), 5u);
+  EXPECT_EQ(to_string(r.rest()), "x");
+  EXPECT_EQ(r.u8().error(), Errc::invalid_argument);
+}
+
+TEST(Wire, RawPointerFormsMatchTheWriter) {
+  std::uint8_t raw[8];
+  wire::store_be64(raw, 0x1122334455667788ULL);
+  Bytes written;
+  wire::ByteWriter(written).u64(0x1122334455667788ULL);
+  EXPECT_TRUE(std::equal(written.begin(), written.end(), raw));
+  EXPECT_EQ(wire::load_be64(raw), 0x1122334455667788ULL);
+  EXPECT_EQ(wire::load_be32(raw + 4), 0x55667788U);
+}
+
+TEST(Wire, EnumBytesPastTheLastEnumeratorNameNothing) {
+  EXPECT_EQ(wire::errc8(0), Errc::ok);
+  EXPECT_EQ(wire::errc8(static_cast<std::uint8_t>(wire::kLastErrc)),
+            wire::kLastErrc);
+  EXPECT_EQ(wire::errc8(static_cast<std::uint8_t>(wire::kLastErrc) + 1),
+            Errc::invalid_argument);
+  EXPECT_EQ(wire::errc8(0xEE), Errc::invalid_argument);
+  EXPECT_EQ(wire::enum8(3, Errc::no_such_channel), Errc::no_such_channel);
+  EXPECT_FALSE(wire::enum8(4, Errc::no_such_channel).has_value());
 }
 
 }  // namespace
