@@ -28,6 +28,14 @@ Result<Bignum> encode_message(BytesView message, std::size_t em_len) {
   return Bignum::from_bytes(em);
 }
 
+/// `mont`, which must be m's context (as generate() builds it).
+const MontgomeryModulus& context_of(
+    const std::shared_ptr<const MontgomeryModulus>& mont, const Bignum& m) {
+  if (!mont || mont->value() != m)
+    throw Error("rsa_sign: key lacks the Montgomery context of its modulus");
+  return *mont;
+}
+
 }  // namespace
 
 Digest RsaPublicKey::fingerprint() const { return Sha256::hash(serialize()); }
@@ -69,7 +77,10 @@ RsaKeyPair RsaKeyPair::generate(HmacDrbg& drbg, std::size_t modulus_bits) {
     Bignum dp = *d % (p - Bignum(1));
     Bignum dq = *d % (q - Bignum(1));
     return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d), p, q,
-                      std::move(dp), std::move(dq), std::move(*qinv)};
+                      std::move(dp), std::move(dq), std::move(*qinv),
+                      std::make_shared<const MontgomeryModulus>(p),
+                      std::make_shared<const MontgomeryModulus>(q),
+                      std::make_shared<const MontgomeryModulus>(n)};
   }
 }
 
@@ -79,15 +90,15 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView message) {
   if (!em) throw Error("rsa_sign: modulus too small for encoding");
   // Garner: s = m2 + q * (qinv * (m1 - m2) mod p), with m1 = em^dp mod p
   // and m2 = em^dq mod q. m2 may exceed p when q > p, hence the reduction.
-  const Bignum m1 = em->powmod(key.dp, key.p);
-  const Bignum m2 = em->powmod(key.dq, key.q);
+  const Bignum m1 = context_of(key.mont_p, key.p).powmod(*em, key.dp);
+  const Bignum m2 = context_of(key.mont_q, key.q).powmod(*em, key.dq);
   const Bignum m2_mod_p = m2 % key.p;
   const Bignum diff =
       m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;
   const Bignum sig = m2 + diff.mulmod(key.qinv, key.p) * key.q;
   // Boneh-DeMillo-Lipton: a fault in either half yields an s with
   // gcd(s^e - em, n) = p or q. Release nothing that fails the public check.
-  if (sig.powmod(key.pub.e, key.pub.n) != *em)
+  if (context_of(key.mont_n, key.pub.n).powmod(sig, key.pub.e) != *em)
     throw Error("rsa_sign: CRT result failed the public-key check");
   auto padded = sig.to_bytes_padded(em_len);
   if (!padded) throw Error("rsa_sign: signature width error");

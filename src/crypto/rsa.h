@@ -9,8 +9,11 @@
 // modulo the half-size primes with half-length exponents, recombined by
 // Garner's formula, then checked against the public key before the
 // signature leaves (a faulty half would otherwise leak a factor of n).
-// The signature is bit-identical to em^d mod n.
+// The signature is bit-identical to em^d mod n. A generated key keeps the
+// Montgomery contexts of p, q and n, so a signature builds none.
 #pragma once
+
+#include <memory>
 
 #include "crypto/bignum.h"
 #include "crypto/sha256.h"
@@ -43,6 +46,14 @@ struct RsaKeyPair {
   Bignum dp;    // d mod (p - 1)
   Bignum dq;    // d mod (q - 1)
   Bignum qinv;  // q^-1 mod p
+
+  /// The Montgomery contexts rsa_sign exponentiates with: p's and q's for
+  /// the two halves, n's for the public-key check. generate() builds them
+  /// once; they are immutable, so copies of the key share them and any
+  /// number of threads may sign with one key. rsa_sign throws Error when
+  /// one is missing or no longer matches its field (a hand-built key, or
+  /// one whose p, q or n was edited).
+  std::shared_ptr<const MontgomeryModulus> mont_p, mont_q, mont_n;
 
   /// Generate a fresh key pair with an n of `modulus_bits`.
   static RsaKeyPair generate(HmacDrbg& drbg, std::size_t modulus_bits);

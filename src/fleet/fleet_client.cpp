@@ -9,20 +9,33 @@ FleetClient::FleetClient(FleetClientConfig config)
       drbg_(to_bytes("fleet.client:" + config_.endpoint)) {
   if (!config_.network) throw Error("FleetClient: network is required");
   // Idempotent: first client with this name registers the endpoint.
-  (void)config_.network->register_endpoint(config_.endpoint);
+  if (auto id = config_.network->register_endpoint(config_.endpoint))
+    self_ = *id;
+  else if (auto known = config_.network->resolve(config_.endpoint))
+    self_ = *known;
+}
+
+Result<net::EndpointId> FleetClient::server_id() {
+  if (server_ == net::kNoEndpoint) {
+    auto id = config_.network->resolve(config_.server_endpoint);
+    if (!id) return id.error();
+    server_ = *id;
+  }
+  return server_;
 }
 
 Status FleetClient::send_frame(FrameKind kind, BytesView payload) {
-  return config_.network->send(config_.endpoint, config_.server_endpoint,
-                               frame(kind, payload));
+  auto server = server_id();
+  if (!server) return server.error();
+  return config_.network->send(self_, *server, frame(kind, payload));
 }
 
 Result<Bytes> FleetClient::next_frame(FrameKind expected) {
-  auto datagram = config_.network->receive(config_.endpoint);
+  auto datagram = config_.network->receive(self_);
   if (!datagram) {
     if (!config_.drive) return Errc::io_error;
     config_.drive();
-    datagram = config_.network->receive(config_.endpoint);
+    datagram = config_.network->receive(self_);
     if (!datagram) return Errc::io_error;
   }
   auto parsed = parse_frame(datagram->payload);
@@ -125,16 +138,19 @@ Result<Bytes> FleetClient::call(const std::string& method,
 
 Status FleetClient::submit(const std::string& method, BytesView payload) {
   if (!channel_) return Errc::would_block;
-  auto framed = seal_frame(*channel_, FrameKind::record,
-                           net::encode_rpc_request(method, payload));
+  auto server = server_id();
+  if (!server) return server.error();
+  request_head_.clear();
+  net::append_rpc_request_head(request_head_, method);
+  auto framed =
+      seal_frame(*channel_, FrameKind::record, request_head_, payload);
   if (!framed) return framed.error();
-  return config_.network->send(config_.endpoint, config_.server_endpoint,
-                               std::move(*framed));
+  return config_.network->send(self_, *server, std::move(*framed));
 }
 
 Result<Bytes> FleetClient::collect() {
   if (!channel_) return Errc::would_block;
-  auto datagram = config_.network->receive(config_.endpoint);
+  auto datagram = config_.network->receive(self_);
   if (!datagram) return Errc::would_block;
   auto parsed = parse_frame(datagram->payload);
   if (!parsed) return Errc::io_error;
@@ -146,9 +162,15 @@ Result<Bytes> FleetClient::collect() {
     return wire::errc8(parsed->payload[0]);
   }
   if (parsed->kind != FrameKind::reply) return Errc::io_error;
-  auto plain = channel_->open_record(parsed->payload);
+  // The record follows the frame kind; it is opened where it lies and the
+  // reply keeps the datagram's buffer.
+  Bytes& buffer = datagram->payload;
+  auto plain =
+      channel_->open_record_in_place(std::span<std::uint8_t>(buffer).subspan(1));
   if (!plain) return plain.error();
-  return net::decode_rpc_reply(std::move(*plain));
+  buffer.erase(buffer.begin(), buffer.end() - static_cast<std::ptrdiff_t>(
+                                                  plain->size()));
+  return net::decode_rpc_reply(std::move(buffer));
 }
 
 }  // namespace lateral::fleet

@@ -88,9 +88,17 @@ class FleetClient {
   /// carried error code, any kind but `expected` as Errc::io_error.
   Result<Bytes> next_frame(FrameKind expected);
   Status send_frame(FrameKind kind, BytesView payload);
+  /// The server's network id, resolved on first use and kept.
+  Result<net::EndpointId> server_id();
 
   FleetClientConfig config_;
+  /// This client's network id (kNoEndpoint if its name cannot be
+  /// registered: every send and receive then fails).
+  net::EndpointId self_ = net::kNoEndpoint;
+  net::EndpointId server_ = net::kNoEndpoint;
   crypto::HmacDrbg drbg_;
+  /// submit()'s request head, [u16 method_len | method]; reused.
+  Bytes request_head_;
   std::unique_ptr<net::SecureChannelEndpoint> channel_;
   std::optional<TicketState> ticket_;
   bool resumed_ = false;

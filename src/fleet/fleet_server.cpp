@@ -37,6 +37,9 @@ FleetServer::FleetServer(FleetServerConfig config)
     throw Error("FleetServer: network and substrate are required");
   if (config_.verifier && config_.expected_client.empty())
     throw Error("FleetServer: verifier requires expected_client");
+  const auto self = config_.network->resolve(config_.endpoint);
+  if (!self) throw Error("FleetServer: endpoint is not registered");
+  self_ = *self;
   cq_ = make_completion_queue();
   in_flight_.resize(cq_->capacity());
 }
@@ -75,28 +78,55 @@ Status FleetServer::register_method(const std::string& name,
 
 Status FleetServer::pump(std::size_t max_batched) {
   while (true) {
-    auto datagram = config_.network->receive(config_.endpoint);
+    auto datagram = config_.network->receive(self_);
     if (!datagram) break;  // drained
     handle_datagram(*datagram);
   }
-  return serve_backlog(max_batched);
+  const Status served = serve_backlog(max_batched);
+  flush_counters();
+  return served;
 }
 
-void FleetServer::handle_datagram(const net::SimNetwork::Datagram& datagram) {
+void FleetServer::flush_counters() {
+  counters_->add(counter_delta_);
+  counter_delta_ = runtime::InvocationCounters{};
+}
+
+FleetServer::PeerSlot& FleetServer::slot(net::EndpointId id) {
+  if (id >= peers_.size()) peers_.resize(std::size_t{id} + 1);
+  return peers_[id];
+}
+
+void FleetServer::install_session(
+    PeerSlot& slot, std::unique_ptr<net::SecureChannelEndpoint> channel) {
+  if (!slot.session) ++sessions_;
+  slot.session = std::move(channel);
+  ++slot.generation;
+}
+
+void FleetServer::drop_session(PeerSlot& slot) {
+  if (!slot.session) return;
+  slot.session.reset();
+  --sessions_;
+  ++slot.generation;
+}
+
+void FleetServer::handle_datagram(net::SimNetwork::Datagram& datagram) {
   auto parsed = parse_frame(datagram.payload);
   if (!parsed) return;  // not even a protocol frame: nothing to answer
+  const Peer peer{.id = datagram.from_id, .name = datagram.from};
   switch (parsed->kind) {
     case FrameKind::full_msg1:
-      handle_full_msg1(datagram.from, parsed->payload);
+      handle_full_msg1(peer, parsed->payload);
       break;
     case FrameKind::full_msg3:
-      handle_full_msg3(datagram.from, parsed->payload);
+      handle_full_msg3(peer, parsed->payload);
       break;
     case FrameKind::resume:
-      handle_resume(datagram.from, parsed->payload);
+      handle_resume(peer, parsed->payload);
       break;
     case FrameKind::record:
-      handle_record(datagram.from, parsed->payload);
+      handle_record(peer, datagram.payload);
       break;
     default:
       // Server-to-client kinds looping back: ignore.
@@ -104,39 +134,37 @@ void FleetServer::handle_datagram(const net::SimNetwork::Datagram& datagram) {
   }
 }
 
-void FleetServer::handle_full_msg1(const std::string& peer,
-                                   BytesView payload) {
-  Session session;
+void FleetServer::handle_full_msg1(const Peer& peer, BytesView payload) {
   std::optional<net::VerifierConfig> verifier;
   if (config_.verifier)
     verifier = net::VerifierConfig{config_.verifier, config_.expected_client};
-  session.channel = std::make_unique<net::SecureChannelEndpoint>(
+  auto channel = std::make_unique<net::SecureChannelEndpoint>(
       net::Role::responder, drbg_.generate(32),
       net::ProverConfig{config_.substrate, config_.service_domain}, verifier);
 
-  auto msg2 = session.channel->handle_msg1(payload);
+  auto msg2 = channel->handle_msg1(payload);
   if (!msg2) {
-    send_reject(peer, msg2.error());
+    send_reject(peer.id, msg2.error());
     return;
   }
-  pending_[peer] = std::move(session);  // a retry supersedes any stale state
-  send_frame(peer, FrameKind::full_msg2, *msg2);
+  // A retry supersedes any stale state.
+  slot(peer.id).handshake = std::move(channel);
+  send_frame(peer.id, FrameKind::full_msg2, *msg2);
 }
 
-void FleetServer::handle_full_msg3(const std::string& peer,
-                                   BytesView payload) {
-  const auto it = pending_.find(peer);
-  if (it == pending_.end()) {
-    send_reject(peer, Errc::invalid_argument);
+void FleetServer::handle_full_msg3(const Peer& peer, BytesView payload) {
+  PeerSlot& s = slot(peer.id);
+  if (!s.handshake) {
+    send_reject(peer.id, Errc::invalid_argument);
     return;
   }
-  Session session = std::move(it->second);
-  pending_.erase(it);
-  if (const Status s = session.channel->handle_msg3(payload); !s.ok()) {
+  std::unique_ptr<net::SecureChannelEndpoint> channel =
+      std::move(s.handshake);
+  if (const Status st = channel->handle_msg3(payload); !st.ok()) {
     if (config_.audit)
-      config_.audit->append(health::AuditKind::attestation_failed, peer,
-                            s.error(), "handshake_msg3");
-    send_reject(peer, s.error());
+      config_.audit->append(health::AuditKind::attestation_failed, peer.name,
+                            st.error(), "handshake_msg3");
+    send_reject(peer.id, st.error());
     return;
   }
 
@@ -151,30 +179,30 @@ void FleetServer::handle_full_msg3(const std::string& peer,
       measurement = *expected;
   }
   const MintedTicket minted = tickets_.mint(measurement, now());
-  auto sealed = seal_frame(*session.channel, FrameKind::grant,
+  auto sealed = seal_frame(*channel, FrameKind::grant,
                            encode_grant(minted.wire, minted.secret));
   if (!sealed) return;  // channel came up unusable; client will retry
 
-  sessions_[peer] = std::move(session);
-  (void)config_.network->send(config_.endpoint, peer, std::move(*sealed));
+  install_session(s, std::move(channel));
+  (void)config_.network->send(self_, peer.id, std::move(*sealed));
   fleet_->handshakes_full++;
   fleet_->tickets_issued++;
   stamp_handshake_span(trace::SpanPhase::handshake_full, peer);
 }
 
-void FleetServer::handle_resume(const std::string& peer, BytesView payload) {
+void FleetServer::handle_resume(const Peer& peer, BytesView payload) {
   auto request = decode_resume(payload);
   if (!request) {
-    send_reject(peer, Errc::invalid_argument);
+    send_reject(peer.id, Errc::invalid_argument);
     return;
   }
   auto claims = tickets_.redeem(request->ticket_wire, now());
   if (!claims) {
     fleet_->tickets_rejected++;
     if (config_.audit)
-      config_.audit->append(health::AuditKind::ticket_rejected, peer,
+      config_.audit->append(health::AuditKind::ticket_rejected, peer.name,
                             claims.error(), "redeem");
-    send_reject(peer, claims.error());
+    send_reject(peer.id, claims.error());
     return;
   }
   // Possession of the secret, proven over the exact wire presented. A
@@ -185,9 +213,9 @@ void FleetServer::handle_resume(const std::string& peer, BytesView payload) {
                 request->binder)) {
     fleet_->tickets_rejected++;
     if (config_.audit)
-      config_.audit->append(health::AuditKind::ticket_rejected, peer,
+      config_.audit->append(health::AuditKind::ticket_rejected, peer.name,
                             Errc::verification_failed, "binder");
-    send_reject(peer, Errc::verification_failed);
+    send_reject(peer.id, Errc::verification_failed);
     return;
   }
   // The sealed identity must still be the one we expect TODAY: a policy
@@ -201,9 +229,9 @@ void FleetServer::handle_resume(const std::string& peer, BytesView payload) {
                   crypto::digest_view(*expected))) {
       fleet_->tickets_rejected++;
       if (config_.audit)
-        config_.audit->append(health::AuditKind::ticket_rejected, peer,
+        config_.audit->append(health::AuditKind::ticket_rejected, peer.name,
                               Errc::access_denied, "identity");
-      send_reject(peer, Errc::access_denied);
+      send_reject(peer.id, Errc::access_denied);
       return;
     }
   }
@@ -211,37 +239,35 @@ void FleetServer::handle_resume(const std::string& peer, BytesView payload) {
   const Bytes server_nonce = drbg_.generate(32);
   const Bytes keys = resumption_keys(claims->secret, request->client_nonce,
                                      server_nonce);
-  Session session;
-  session.resumed = true;
-  session.channel =
-      net::SecureChannelEndpoint::resume(net::Role::responder, keys);
-  sessions_[peer] = std::move(session);
-  send_frame(peer, FrameKind::resume_ok, server_nonce);
+  install_session(slot(peer.id), net::SecureChannelEndpoint::resume(
+                                     net::Role::responder, keys));
+  send_frame(peer.id, FrameKind::resume_ok, server_nonce);
   fleet_->handshakes_resumed++;
   stamp_handshake_span(trace::SpanPhase::handshake_resumed, peer);
 }
 
-void FleetServer::handle_record(const std::string& peer, BytesView payload) {
-  const auto it = sessions_.find(peer);
-  if (it == sessions_.end()) {
-    send_reject(peer, Errc::invalid_argument);
+void FleetServer::handle_record(const Peer& peer, Bytes& datagram) {
+  PeerSlot& s = slot(peer.id);
+  if (!s.session) {
+    send_reject(peer.id, Errc::invalid_argument);
     return;
   }
-  auto plain = it->second.channel->open_record(payload);
+  // The record follows the frame kind; it is opened where it lies.
+  auto plain = s.session->open_record_in_place(
+      std::span<std::uint8_t>(datagram).subspan(1));
   if (!plain) {
     // Channel authentication failed: tampering or a desynced peer. Fail
     // closed — drop the session; the client reconnects (ticket intact).
     if (config_.audit)
-      config_.audit->append(health::AuditKind::session_tamper, peer,
+      config_.audit->append(health::AuditKind::session_tamper, peer.name,
                             Errc::verification_failed, "open_record");
-    sessions_.erase(it);
-    send_reject(peer, Errc::verification_failed);
+    drop_session(s);
+    send_reject(peer.id, Errc::verification_failed);
     return;
   }
   auto request = net::decode_rpc_request(*plain);
   if (!request) {
-    send_sealed(peer, FrameKind::reply,
-                net::encode_rpc_reply(Errc::invalid_argument, {}));
+    send_reply(peer.id, s, Errc::invalid_argument, {});
     return;
   }
 
@@ -249,19 +275,19 @@ void FleetServer::handle_record(const std::string& peer, BytesView payload) {
     if (config_.admission_enabled && !gate_.admit(now()).ok()) {
       // Shed: answered immediately and counted, never queued, never lost.
       fleet_->admission_shed++;
-      counters_->rejected++;
-      send_sealed(peer, FrameKind::reply,
-                  net::encode_rpc_reply(Errc::exhausted, {}));
+      counter_delta_.rejected++;
+      send_reply(peer.id, s, Errc::exhausted, {});
       return;
     }
-    counters_->submitted++;
-    // The request payload is the plaintext's tail: keep its buffer.
+    counter_delta_.submitted++;
+    // The request payload is the datagram's tail: keep its buffer.
     const auto header =
-        static_cast<std::ptrdiff_t>(plain->size() - request->payload.size());
-    Bytes body = std::move(*plain);
-    body.erase(body.begin(), body.begin() + header);
-    backlog_.push_back(
-        Arrival{.peer = peer, .payload = std::move(body), .arrived_at = now()});
+        static_cast<std::ptrdiff_t>(datagram.size() - request->payload.size());
+    datagram.erase(datagram.begin(), datagram.begin() + header);
+    backlog_.push_back(Arrival{.peer = peer.id,
+                               .generation = s.generation,
+                               .payload = std::move(datagram),
+                               .arrived_at = now()});
     return;
   }
 
@@ -270,50 +296,44 @@ void FleetServer::handle_record(const std::string& peer, BytesView payload) {
   // sealed session: the scrape/audit consumer is exactly as attested as
   // any meter submitting a record.
   if (request->method == "scrape") {
-    Bytes reply_plain;
     if (!config_.scrape_source) {
-      reply_plain = net::encode_rpc_reply(Errc::not_supported, {});
-    } else {
-      fleet_->scrapes++;
-      reply_plain = net::encode_rpc_reply(Errc::ok,
-                                          to_bytes(config_.scrape_source()));
+      send_reply(peer.id, s, Errc::not_supported, {});
+      return;
     }
-    send_sealed(peer, FrameKind::reply, reply_plain);
+    fleet_->scrapes++;
+    // The scrape shows every counter update made so far.
+    flush_counters();
+    send_reply(peer.id, s, Errc::ok, to_bytes(config_.scrape_source()));
     return;
   }
   if (request->method == "audit_pull") {
-    send_sealed(peer, FrameKind::reply, serve_audit_pull(request->payload));
+    send_reply(peer.id, s, serve_audit_pull(request->payload));
     return;
   }
 
   const auto method = inline_methods_.find(request->method);
-  Bytes reply_plain;
   if (method == inline_methods_.end()) {
-    reply_plain = net::encode_rpc_reply(Errc::invalid_argument, {});
-  } else {
-    Result<Bytes> result = method->second(request->payload);
-    reply_plain = result ? net::encode_rpc_reply(Errc::ok, *result)
-                         : net::encode_rpc_reply(result.error(), {});
+    send_reply(peer.id, s, Errc::invalid_argument, {});
+    return;
   }
-  send_sealed(peer, FrameKind::reply, reply_plain);
+  send_reply(peer.id, s, method->second(request->payload));
 }
 
-Bytes FleetServer::serve_audit_pull(BytesView payload) {
-  if (!config_.audit) return net::encode_rpc_reply(Errc::not_supported, {});
+Result<Bytes> FleetServer::serve_audit_pull(BytesView payload) {
+  if (!config_.audit) return Errc::not_supported;
   // [] pulls the whole log; [u64 from_seq] pulls from that record on.
   std::uint64_t from_seq = 0;
   if (!payload.empty()) {
     wire::ByteReader r(payload);
     auto seq = r.u64();
-    if (!seq || !r.finish().ok())
-      return net::encode_rpc_reply(Errc::invalid_argument, {});
+    if (!seq || !r.finish().ok()) return Errc::invalid_argument;
     from_seq = *seq;
   }
   auto segment = config_.audit->segment(from_seq, *config_.substrate,
                                         config_.service_domain);
-  if (!segment) return net::encode_rpc_reply(segment.error(), {});
+  if (!segment) return segment.error();
   fleet_->audit_pulls++;
-  return net::encode_rpc_reply(Errc::ok, segment->serialize());
+  return segment->serialize();
 }
 
 Status FleetServer::serve_backlog(std::size_t max_batched) {
@@ -331,11 +351,12 @@ Status FleetServer::serve_backlog(std::size_t max_batched) {
       drain_completions();
       continue;
     }
-    InFlight& slot = in_flight_slot(*id);
-    if (slot.id != 0) throw Error("FleetServer: in-flight slot overrun");
-    slot = InFlight{.id = *id,
-                    .peer = std::move(front.peer),
-                    .arrived_at = front.arrived_at};
+    InFlight& flight = in_flight_slot(*id);
+    if (flight.id != 0) throw Error("FleetServer: in-flight slot overrun");
+    flight = InFlight{.id = *id,
+                      .peer = front.peer,
+                      .generation = front.generation,
+                      .arrived_at = front.arrived_at};
     backlog_.pop_front();
     ++served;
   }
@@ -349,46 +370,50 @@ void FleetServer::drain_completions() {
     InFlight& flight = in_flight_slot(event.id);
     if (flight.id != event.id) return;
     flight.id = 0;
-    const Bytes reply_plain =
-        event.ok() ? net::encode_rpc_reply(Errc::ok, event.payload)
-                   : net::encode_rpc_reply(event.status, {});
-    counters_->completed++;
-    counters_->record_latency(now() - flight.arrived_at);
-    send_sealed(flight.peer, FrameKind::reply, reply_plain);
+    counter_delta_.completed++;
+    counter_delta_.record_latency(now() - flight.arrived_at);
+    // Answered only on the session it was admitted under: a peer whose
+    // session ended or was replaced since gets nothing, as a vanished one.
+    PeerSlot& peer = peers_[flight.peer];
+    if (peer.generation != flight.generation) return;
+    send_reply(flight.peer, peer, event.ok() ? Errc::ok : event.status,
+               event.payload);
   });
 }
 
-void FleetServer::send_frame(const std::string& peer, FrameKind kind,
+void FleetServer::send_frame(net::EndpointId to, FrameKind kind,
                              BytesView payload) {
-  // A vanished peer is not the server's problem; delivery failure is the
-  // client's timeout to handle.
-  (void)config_.network->send(config_.endpoint, peer, frame(kind, payload));
+  // A vanished (or never registered) peer is not the server's problem;
+  // delivery failure is the client's timeout to handle.
+  (void)config_.network->send(self_, to, frame(kind, payload));
 }
 
-void FleetServer::send_reject(const std::string& peer, Errc errc) {
+void FleetServer::send_reject(net::EndpointId to, Errc errc) {
   const Bytes payload{static_cast<std::uint8_t>(errc)};
-  send_frame(peer, FrameKind::reject, payload);
+  send_frame(to, FrameKind::reject, payload);
 }
 
-void FleetServer::send_sealed(const std::string& peer, FrameKind kind,
-                              BytesView plain) {
-  const auto it = sessions_.find(peer);
-  if (it == sessions_.end()) return;
-  auto sealed = seal_frame(*it->second.channel, kind, plain);
+void FleetServer::send_reply(net::EndpointId to, PeerSlot& slot, Errc error,
+                             BytesView payload) {
+  if (!slot.session) return;
+  const std::uint8_t head = net::rpc_reply_head(error);
+  auto sealed =
+      seal_frame(*slot.session, FrameKind::reply, BytesView(&head, 1),
+                 error == Errc::ok ? payload : BytesView());
   if (!sealed) {
-    sessions_.erase(it);
+    drop_session(slot);
     return;
   }
-  (void)config_.network->send(config_.endpoint, peer, std::move(*sealed));
+  (void)config_.network->send(self_, to, std::move(*sealed));
 }
 
 void FleetServer::stamp_handshake_span(trace::SpanPhase phase,
-                                       const std::string& peer) {
+                                       const Peer& peer) {
   if (!config_.tracer || !config_.tracer->enabled()) return;
   const trace::TraceContext ctx = config_.tracer->begin_trace();
   config_.substrate->stamp_span(config_.service_domain, ctx,
                                 config_.tracer->next_span(), phase,
-                                to_bytes(peer), 0);
+                                to_bytes(peer.name), 0);
 }
 
 void FleetServer::sync_verifier_cache(const CachedVerifier& cache) {
@@ -403,8 +428,10 @@ void FleetServer::on_service_restart(
   // Every outstanding ticket was sealed by the dead incarnation's key.
   tickets_.rotate();
   // Live record keys likewise: drop the sessions, clients re-handshake.
-  pending_.clear();
-  sessions_.clear();
+  for (PeerSlot& peer : peers_) {
+    peer.handshake.reset();
+    drop_session(peer);
+  }
   // Admitted-but-unserved work cannot be answered (its sessions are gone):
   // account it as cancelled — withdrawn, not lost — so the lossless
   // invariant still balances after the crash.

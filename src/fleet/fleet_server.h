@@ -4,7 +4,9 @@
 // sides from one stack; production is many clients multiplexed onto one
 // SGX anonymizer domain. FleetServer demuxes a single SimNetwork endpoint
 // by claimed source address into per-connection session state, and runs
-// everything from a single-threaded pump() — no per-connection threads:
+// everything from a single-threaded pump() — no per-connection threads.
+// The state is one table indexed by the source's net::EndpointId, so a
+// record costs no name lookup on its way in or its reply's way out:
 //
 //   - Full handshakes (three messages) verified through the configured
 //     verifier — pass a fleet::CachedVerifier and a burst of
@@ -33,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/attestation.h"
@@ -56,7 +57,8 @@ namespace lateral::fleet {
 
 struct FleetServerConfig {
   // --- Wiring -------------------------------------------------------------
-  std::string endpoint;  // this server's (registered) network name
+  /// This server's network name, registered before the server is built.
+  std::string endpoint;
   net::SimNetwork* network = nullptr;
   substrate::IsolationSubstrate* substrate = nullptr;
   /// The attested service (e.g. the SGX anonymizer): prover identity for
@@ -134,7 +136,7 @@ class FleetServer {
   /// channel at the channel's new epoch.
   void on_service_restart(substrate::DomainId new_service_domain);
 
-  std::size_t sessions() const { return sessions_.size(); }
+  std::size_t sessions() const { return sessions_; }
   std::size_t backlog() const { return backlog_.size(); }
   runtime::FleetStats stats() const { return fleet_.snapshot(); }
 
@@ -145,43 +147,77 @@ class FleetServer {
   void sync_verifier_cache(const CachedVerifier& cache);
 
  private:
-  struct Session {
-    std::unique_ptr<net::SecureChannelEndpoint> channel;
-    bool resumed = false;
+  /// One peer's state, at its EndpointId in `peers_`.
+  struct PeerSlot {
+    /// The responder of a full handshake between msg1 and msg3.
+    std::unique_ptr<net::SecureChannelEndpoint> handshake;
+    /// The established session records are opened and sealed on.
+    std::unique_ptr<net::SecureChannelEndpoint> session;
+    /// Bumped whenever `session` is installed or dropped. Work carries the
+    /// generation it was admitted under, and its reply is sent only while
+    /// that is still the slot's: a reply never crosses into a later
+    /// session of the same peer.
+    std::uint32_t generation = 0;
+  };
+  /// A datagram's claimed source: its network id (a name nobody registered
+  /// has one too, but the network refuses replies to it) and its name, for
+  /// audit records and spans.
+  struct Peer {
+    net::EndpointId id;
+    const std::string& name;
   };
   struct InFlight {
     runtime::SubmissionId id = 0;  // 0: free slot
-    std::string peer;
+    net::EndpointId peer = net::kNoEndpoint;
+    std::uint32_t generation = 0;
     Cycles arrived_at = 0;
   };
   struct Arrival {
-    std::string peer;
+    net::EndpointId peer = net::kNoEndpoint;
+    std::uint32_t generation = 0;
     Bytes payload;
     Cycles arrived_at = 0;
   };
 
-  void handle_datagram(const net::SimNetwork::Datagram& datagram);
+  void handle_datagram(net::SimNetwork::Datagram& datagram);
   /// The in-flight slot of submission `id`.
   InFlight& in_flight_slot(runtime::SubmissionId id) {
     return in_flight_[id & (in_flight_.size() - 1)];
   }
-  void handle_full_msg1(const std::string& peer, BytesView payload);
-  void handle_full_msg3(const std::string& peer, BytesView payload);
-  void handle_resume(const std::string& peer, BytesView payload);
-  void handle_record(const std::string& peer, BytesView payload);
+  /// `id`'s slot, made on first sight.
+  PeerSlot& slot(net::EndpointId id);
+  /// Install `channel` as the slot's established session.
+  void install_session(PeerSlot& slot,
+                       std::unique_ptr<net::SecureChannelEndpoint> channel);
+  void drop_session(PeerSlot& slot);
+  void handle_full_msg1(const Peer& peer, BytesView payload);
+  void handle_full_msg3(const Peer& peer, BytesView payload);
+  void handle_resume(const Peer& peer, BytesView payload);
+  /// `datagram` is the whole frame, [kind | sealed record]: the record is
+  /// opened inside it, and an admitted request's payload keeps its buffer.
+  void handle_record(const Peer& peer, Bytes& datagram);
   /// The `audit_pull` built-in: seal the log through the current epoch,
   /// attest the seal with the service domain, answer with the serialized
   /// AuditSegment. `payload` is empty (from the chain genesis) or an 8-byte
   /// big-endian starting sequence number.
-  Bytes serve_audit_pull(BytesView payload);
+  Result<Bytes> serve_audit_pull(BytesView payload);
   Status serve_backlog(std::size_t max_batched);
   void drain_completions();
-  void send_frame(const std::string& peer, FrameKind kind, BytesView payload);
-  void send_reject(const std::string& peer, Errc errc);
-  /// Seal `plain` on the peer's session and send it as `kind`; drops the
-  /// session on a sealing failure (the channel is unusable).
-  void send_sealed(const std::string& peer, FrameKind kind, BytesView plain);
-  void stamp_handshake_span(trace::SpanPhase phase, const std::string& peer);
+  void send_frame(net::EndpointId to, FrameKind kind, BytesView payload);
+  void send_reject(net::EndpointId to, Errc errc);
+  /// Seal the RPC reply encode_rpc_reply(error, payload) on the slot's
+  /// session and send it; drops the session on a sealing failure (the
+  /// channel is unusable).
+  void send_reply(net::EndpointId to, PeerSlot& slot, Errc error,
+                  BytesView payload);
+  void send_reply(net::EndpointId to, PeerSlot& slot,
+                  const Result<Bytes>& result) {
+    send_reply(to, slot, result ? Errc::ok : result.error(),
+               result ? BytesView(*result) : BytesView());
+  }
+  void stamp_handshake_span(trace::SpanPhase phase, const Peer& peer);
+  /// Apply the counter updates this pump accumulated, under one lock.
+  void flush_counters();
   Cycles now() const;
   std::unique_ptr<runtime::CompletionQueue> make_completion_queue() const;
 
@@ -194,8 +230,13 @@ class FleetServer {
   /// and completion drain share that crossing (fixed depth; FIG14 sweeps
   /// batch_depth explicitly, so the adaptive controller stays off).
   std::unique_ptr<runtime::CompletionQueue> cq_;
-  std::unordered_map<std::string, Session> pending_;   // mid-handshake
-  std::unordered_map<std::string, Session> sessions_;  // established
+  /// This server's own network id, resolved from config_.endpoint at
+  /// construction.
+  net::EndpointId self_ = net::kNoEndpoint;
+  /// Per-peer state indexed by the peer's EndpointId; the network's ids
+  /// are dense, so this is a vector, grown as new peers show up.
+  std::vector<PeerSlot> peers_;
+  std::size_t sessions_ = 0;  // slots with an established session
   std::map<std::string, net::RemoteDispatcher::Method, std::less<>>
       inline_methods_;
   std::deque<Arrival> backlog_;  // admitted, not yet submitted
@@ -208,6 +249,8 @@ class FleetServer {
   runtime::MetricsHub::FleetRef fleet_;
   runtime::MetricsHub::CounterSlot own_counters_;
   runtime::MetricsHub::CounterRef counters_;  // arrival->completion e2e
+  /// counters_ updates of the running pump, applied by flush_counters().
+  runtime::InvocationCounters counter_delta_;
 };
 
 }  // namespace lateral::fleet

@@ -24,6 +24,12 @@ Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
   return channel.seal_record(plain, BytesView(&kind_byte, 1));
 }
 
+Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
+                         BytesView head, BytesView body) {
+  const auto kind_byte = static_cast<std::uint8_t>(kind);
+  return channel.seal_record_parts(BytesView(&kind_byte, 1), head, body);
+}
+
 Result<Frame> parse_frame(BytesView datagram) {
   if (datagram.empty()) return Errc::invalid_argument;
   const auto kind = static_cast<FrameKind>(datagram[0]);

@@ -46,6 +46,12 @@ Bytes frame(FrameKind kind, BytesView payload);
 Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
                          BytesView plain);
 
+/// seal_frame(channel, kind, head ‖ body), built in the same one buffer
+/// without joining head and body first: a request's method head and its
+/// payload, or a reply's error byte and its payload.
+Result<Bytes> seal_frame(net::SecureChannelEndpoint& channel, FrameKind kind,
+                         BytesView head, BytesView body);
+
 /// Split a datagram into kind + payload view; invalid_argument on an empty
 /// datagram or a kind outside the protocol.
 Result<Frame> parse_frame(BytesView datagram);

@@ -2,24 +2,43 @@
 
 namespace lateral::net {
 
-Status SimNetwork::register_endpoint(const std::string& name) {
-  if (name.empty()) return Errc::invalid_argument;
-  const auto [it, inserted] = queues_.emplace(name, std::deque<Datagram>{});
-  (void)it;
-  return inserted ? Status::success() : Status(Errc::invalid_argument);
+EndpointId SimNetwork::intern(const std::string& name) {
+  const auto [it, inserted] =
+      ids_.emplace(name, static_cast<EndpointId>(endpoints_.size()));
+  if (inserted) endpoints_.push_back(Endpoint{.name = name, .queue = {}});
+  return it->second;
 }
 
-Status SimNetwork::send(const std::string& from, const std::string& to,
-                        Bytes&& payload) {
-  if (!queues_.contains(from)) return Errc::invalid_argument;
-  const auto it = queues_.find(to);
-  if (it == queues_.end()) return Errc::invalid_argument;
+Result<EndpointId> SimNetwork::register_endpoint(const std::string& name) {
+  if (name.empty()) return Errc::invalid_argument;
+  const EndpointId id = intern(name);
+  if (endpoints_[id].registered) return Errc::invalid_argument;
+  endpoints_[id].registered = true;
+  return id;
+}
+
+EndpointId SimNetwork::find(const std::string& name) {
+  stats_.name_resolutions++;
+  const auto it = ids_.find(name);
+  return it == ids_.end() || !registered(it->second) ? kNoEndpoint
+                                                      : it->second;
+}
+
+Result<EndpointId> SimNetwork::resolve(const std::string& name) {
+  const EndpointId id = find(name);
+  if (id == kNoEndpoint) return Errc::invalid_argument;
+  return id;
+}
+
+Status SimNetwork::send(EndpointId from, EndpointId to, Bytes&& payload) {
+  if (!registered(from) || !registered(to)) return Errc::invalid_argument;
+  Endpoint& receiver = endpoints_[to];
 
   stats_.messages++;
   stats_.bytes += payload.size();
 
   if (tamperer_) {
-    auto result = tamperer_(from, to, payload);
+    auto result = tamperer_(endpoints_[from].name, receiver.name, payload);
     if (!result) {
       stats_.dropped++;
       return Status::success();  // silently dropped: sender can't tell
@@ -27,8 +46,16 @@ Status SimNetwork::send(const std::string& from, const std::string& to,
     if (!ct_equal(*result, payload)) stats_.modified++;
     payload = std::move(*result);
   }
-  it->second.push_back(Datagram{from, std::move(payload)});
+  receiver.queue.push_back(Datagram{.from = endpoints_[from].name,
+                                    .payload = std::move(payload),
+                                    .from_id = from});
   return Status::success();
+}
+
+Status SimNetwork::send(const std::string& from, const std::string& to,
+                        Bytes&& payload) {
+  const EndpointId from_id = find(from);
+  return send(from_id, find(to), std::move(payload));
 }
 
 Status SimNetwork::send(const std::string& from, const std::string& to,
@@ -38,19 +65,28 @@ Status SimNetwork::send(const std::string& from, const std::string& to,
 
 Status SimNetwork::inject(const std::string& claimed_from,
                           const std::string& to, BytesView payload) {
-  const auto it = queues_.find(to);
-  if (it == queues_.end()) return Errc::invalid_argument;
-  it->second.push_back(Datagram{claimed_from, Bytes(payload.begin(), payload.end())});
+  const EndpointId to_id = find(to);
+  if (to_id == kNoEndpoint) return Errc::invalid_argument;
+  stats_.name_resolutions++;  // the claimed source's
+  const EndpointId from_id = intern(claimed_from);
+  endpoints_[to_id].queue.push_back(
+      Datagram{.from = claimed_from,
+               .payload = Bytes(payload.begin(), payload.end()),
+               .from_id = from_id});
   return Status::success();
 }
 
-Result<SimNetwork::Datagram> SimNetwork::receive(const std::string& endpoint) {
-  const auto it = queues_.find(endpoint);
-  if (it == queues_.end()) return Errc::invalid_argument;
-  if (it->second.empty()) return Errc::would_block;
-  Datagram datagram = std::move(it->second.front());
-  it->second.pop_front();
+Result<SimNetwork::Datagram> SimNetwork::receive(EndpointId endpoint) {
+  if (!registered(endpoint)) return Errc::invalid_argument;
+  std::deque<Datagram>& queue = endpoints_[endpoint].queue;
+  if (queue.empty()) return Errc::would_block;
+  Datagram datagram = std::move(queue.front());
+  queue.pop_front();
   return datagram;
+}
+
+Result<SimNetwork::Datagram> SimNetwork::receive(const std::string& endpoint) {
+  return receive(find(endpoint));
 }
 
 }  // namespace lateral::net

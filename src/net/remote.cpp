@@ -7,10 +7,13 @@ namespace lateral::net {
 Bytes encode_rpc_request(std::string_view method, BytesView payload) {
   Bytes out;
   out.reserve(2 + method.size() + payload.size());
-  wire::ByteWriter w(out);
-  w.blob16(wire::as_bytes(method));
-  w.bytes(payload);
+  append_rpc_request_head(out, method);
+  wire::ByteWriter(out).bytes(payload);
   return out;
+}
+
+void append_rpc_request_head(Bytes& out, std::string_view method) {
+  wire::ByteWriter(out).blob16(wire::as_bytes(method));
 }
 
 Result<RpcRequest> decode_rpc_request(BytesView plain) {
@@ -25,7 +28,7 @@ Bytes encode_rpc_reply(Errc error, BytesView payload) {
   Bytes out;
   out.reserve(1 + (ok ? payload.size() : 0));
   wire::ByteWriter w(out);
-  w.u8(static_cast<std::uint8_t>(error));
+  w.u8(rpc_reply_head(error));
   if (ok) w.bytes(payload);
   return out;
 }

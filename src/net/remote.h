@@ -34,6 +34,18 @@ namespace lateral::net {
 
 Bytes encode_rpc_request(std::string_view method, BytesView payload);
 
+/// The bytes of a request in front of its payload, [u16 method_len |
+/// method], appended to `out`: encode_rpc_request(method, payload) is this
+/// head followed by the payload. A sealer that takes the two parts
+/// (SecureChannelEndpoint::seal_record_parts) builds no joined buffer.
+void append_rpc_request_head(Bytes& out, std::string_view method);
+
+/// A reply's head byte: encode_rpc_reply(error, payload) is this byte
+/// followed by the payload when `error` is Errc::ok, by nothing otherwise.
+inline std::uint8_t rpc_reply_head(Errc error) {
+  return static_cast<std::uint8_t>(error);
+}
+
 /// A decoded request: views into the plaintext it was decoded from.
 struct RpcRequest {
   std::string_view method;

@@ -8,10 +8,6 @@
 namespace lateral::net {
 namespace {
 
-// A record on the wire is a sealed box, [u64 nonce | 16B tag | ciphertext],
-// written and read in place.
-constexpr std::size_t kRecordHeaderBytes = crypto::kSealedBoxHeaderBytes;
-
 // Record AAD per direction, so a record cannot be reflected to its sender.
 const Bytes kI2rAad = to_bytes("i2r");
 const Bytes kR2iAad = to_bytes("r2i");
@@ -212,43 +208,75 @@ Status SecureChannelEndpoint::derive_keys() {
 
 Result<Bytes> SecureChannelEndpoint::seal_record(BytesView plaintext,
                                                  BytesView prefix) {
+  return seal_record_parts(prefix, {}, plaintext);
+}
+
+Result<Bytes> SecureChannelEndpoint::seal_record_parts(BytesView prefix,
+                                                       BytesView head,
+                                                       BytesView body) {
   if (!established_ || !aead_) return Errc::would_block;
   // Per-direction nonce spaces: initiator even, responder odd.
   const std::uint64_t nonce =
       (send_seq_ << 1) | (role_ == Role::responder ? 1 : 0);
   ++send_seq_;
 
-  // One exactly-sized buffer; the plaintext is encrypted straight into it.
-  Bytes out(prefix.size() + kRecordHeaderBytes + plaintext.size());
-  std::copy(prefix.begin(), prefix.end(), out.begin());
-  std::uint8_t* record = out.data() + prefix.size();
+  // One exactly-sized buffer, laid out as the wire record: the plaintext
+  // parts are copied into place and encrypted there.
+  Bytes out(prefix.size() + kRecordHeaderBytes + head.size() + body.size());
+  std::uint8_t* record = std::copy(prefix.begin(), prefix.end(), out.data());
+  std::uint8_t* plain = record + kRecordHeaderBytes;
+  std::copy(body.begin(), body.end(),
+            std::copy(head.begin(), head.end(), plain));
   wire::store_be64(record, nonce);
-  const crypto::AeadTag tag =
-      aead_->seal(nonce, role_ == Role::initiator ? kI2rAad : kR2iAad,
-                  plaintext, record + kRecordHeaderBytes);
+  const crypto::AeadTag tag = aead_->seal(
+      nonce, role_ == Role::initiator ? kI2rAad : kR2iAad,
+      BytesView(plain, head.size() + body.size()), plain);
   std::copy(tag.begin(), tag.end(), record + 8);
   return out;
 }
 
-Result<Bytes> SecureChannelEndpoint::open_record(BytesView record) {
+Result<std::uint64_t> SecureChannelEndpoint::check_record(
+    BytesView record) const {
   if (!established_ || !aead_) return Errc::would_block;
   if (record.size() < kRecordHeaderBytes) return Errc::invalid_argument;
-
   const std::uint64_t nonce = wire::load_be64(record.data());
   // Strict ordering: the next record from the peer must carry exactly the
   // expected sequence number in the peer's nonce space.
   const std::uint64_t expected_nonce =
       (recv_seq_ << 1) | (role_ == Role::initiator ? 1 : 0);
   if (nonce != expected_nonce) return Errc::verification_failed;
+  return nonce;
+}
 
-  const BytesView ciphertext = record.subspan(kRecordHeaderBytes);
-  Bytes plain(ciphertext.size());
+Status SecureChannelEndpoint::open_checked(std::uint64_t nonce,
+                                           BytesView record,
+                                           std::uint8_t* plaintext) {
   if (!aead_
            ->open(nonce, role_ == Role::initiator ? kR2iAad : kI2rAad,
-                  ciphertext, record.subspan(8, 16), plain.data())
+                  record.subspan(kRecordHeaderBytes), record.subspan(8, 16),
+                  plaintext)
            .ok())
     return Errc::verification_failed;
   ++recv_seq_;
+  return Status::success();
+}
+
+Result<Bytes> SecureChannelEndpoint::open_record(BytesView record) {
+  auto nonce = check_record(record);
+  if (!nonce) return nonce.error();
+  Bytes plain(record.size() - kRecordHeaderBytes);
+  if (const Status s = open_checked(*nonce, record, plain.data()); !s.ok())
+    return s.error();
+  return plain;
+}
+
+Result<std::span<std::uint8_t>> SecureChannelEndpoint::open_record_in_place(
+    std::span<std::uint8_t> record) {
+  auto nonce = check_record(record);
+  if (!nonce) return nonce.error();
+  const std::span<std::uint8_t> plain = record.subspan(kRecordHeaderBytes);
+  if (const Status s = open_checked(*nonce, record, plain.data()); !s.ok())
+    return s.error();
   return plain;
 }
 

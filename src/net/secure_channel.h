@@ -19,14 +19,19 @@
 //
 // Records are AES-128-CTR + HMAC (encrypt-then-MAC) with per-direction
 // monotonic sequence numbers: tampering, reordering and replay all surface
-// as Errc::verification_failed. Each record costs one buffer per side:
-// seal_record encrypts straight into the wire buffer (behind an optional
-// unauthenticated routing prefix), open_record decrypts straight out of
-// the received bytes. Once established, an endpoint keeps only its record
-// keys and sequence numbers; the DH pair and transcript are dropped.
+// as Errc::verification_failed. Each record costs at most one buffer per
+// side: seal_record encrypts straight into the wire buffer (behind an
+// optional unauthenticated routing prefix), open_record decrypts straight
+// out of the received bytes. A message path that builds its plaintext
+// from a small head and a payload seals both parts into that one buffer
+// (seal_record_parts) and opens the record inside the buffer it arrived
+// in (open_record_in_place), so it allocates nothing for the plaintext.
+// Once established, an endpoint keeps only its record keys and sequence
+// numbers; the DH pair and transcript are dropped.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/attestation.h"
@@ -98,16 +103,39 @@ class SecureChannelEndpoint {
   /// authenticated bytes: routing the receiver strips before open_record
   /// (a fleet frame kind), so a framed record needs no second buffer.
   Result<Bytes> seal_record(BytesView plaintext, BytesView prefix = {});
+  /// Seal the record whose plaintext is `head` followed by `body`, behind
+  /// `prefix`, in one buffer: the same bytes as seal_record(head ‖ body,
+  /// prefix), without building head ‖ body first.
+  Result<Bytes> seal_record_parts(BytesView prefix, BytesView head,
+                                  BytesView body);
   /// Open the peer's next record: wrong sequence number or tag is
   /// Errc::verification_failed and leaves the receive sequence where it
   /// was; fewer bytes than a record header is Errc::invalid_argument.
   Result<Bytes> open_record(BytesView wire);
+  /// open_record inside `record`'s own bytes: the plaintext is decrypted
+  /// over the ciphertext and returned as the view of it, which starts
+  /// kRecordHeaderBytes into `record`. The same checks and errors as
+  /// open_record; a refused record is left unchanged.
+  Result<std::span<std::uint8_t>> open_record_in_place(
+      std::span<std::uint8_t> record);
+
+  /// Bytes in front of a record's ciphertext: [u64 nonce | 16 B tag].
+  static constexpr std::size_t kRecordHeaderBytes =
+      crypto::kSealedBoxHeaderBytes;
 
  private:
   struct ResumeTag {};
   SecureChannelEndpoint(ResumeTag, Role role, BytesView key_material);
 
   Status derive_keys();
+  /// Check a record's header against the expected sequence number and
+  /// return its nonce.
+  Result<std::uint64_t> check_record(BytesView record) const;
+  /// Authenticate a checked record and decrypt its ciphertext into
+  /// `plaintext` (which may be the ciphertext itself); advances the
+  /// receive sequence only on success.
+  Status open_checked(std::uint64_t nonce, BytesView record,
+                      std::uint8_t* plaintext);
   /// Mark the channel established and drop the handshake-only state.
   void establish();
 

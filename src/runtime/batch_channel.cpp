@@ -34,7 +34,9 @@ Status BatchChannel::flush() {
   // Refusing up front, before anything is popped, is what keeps the
   // completion-space bound lossless: the queued entries survive untouched.
   if (ready() + pending() > ring_.capacity()) return Errc::exhausted;
-  CompletionQueue::flush();
+  InvocationCounters delta;
+  CompletionQueue::flush(delta);
+  counters_->add(delta);
   return Status::success();
 }
 

@@ -108,8 +108,11 @@ Result<SubmissionId> CompletionQueue::enqueue(
   if (ring_.empty()) oldest_submitted_at_ = pending.submitted_at;
   const SubmissionId id = pending.id;
   (void)ring_.push(std::move(pending));  // space checked above
-  ++counters_->submitted;
-  counters_->record_depth(ring_.size());
+  {
+    auto locked = counters_.operator->();
+    ++locked->submitted;
+    locked->record_depth(ring_.size());
+  }
   return id;
 }
 
@@ -153,16 +156,12 @@ Status CompletionQueue::cancel(SubmissionId id) {
 }
 
 void CompletionQueue::finish_pending(
-    Pending& pending, std::uint64_t InvocationCounters::* counter,
+    Pending& pending, InvocationCounters& delta,
+    std::uint64_t InvocationCounters::* counter,
     std::optional<trace::SpanPhase> phase, Result<Bytes> result,
     Cycles latency) {
-  {
-    // One locked statement covers both counter updates.
-    auto locked = counters_.operator->();
-    InvocationCounters* c = locked.operator->();
-    ++(c->*counter);
-    if (latency > 0) c->record_latency(latency);
-  }
+  ++(delta.*counter);
+  if (latency > 0) delta.record_latency(latency);
   // Terminal without running: close the submit span in place (same span
   // id), so the ring shows submit -> cancelled/timed_out, never a dangling
   // submit. Invocations that ran get their dispatch/complete spans from the
@@ -175,14 +174,17 @@ void CompletionQueue::finish_pending(
                     result ? std::move(*result) : Bytes{}, latency});
 }
 
-void CompletionQueue::flush() {
+void CompletionQueue::flush(InvocationCounters& delta) {
+  if (ring_.empty()) return;
   const Cycles now = substrate_.machine().now();
-  std::vector<Pending> batch;
+  // The scratch vectors are taken out of the members for the flush and
+  // handed back, emptied, at its end, so their capacity is reused.
+  std::vector<Pending> batch = std::move(batch_scratch_);
   // Every flush rides the scatter-gather call: an inline entry is an
   // SgRequest with no segments, which crosses at exactly the cost it would
   // on call_batch, and its buffer is moved, not copied, so the payload is
   // still copied exactly once (by the substrate's delivery).
-  std::vector<substrate::SgRequest> requests;
+  std::vector<substrate::SgRequest> requests = std::move(requests_scratch_);
   batch.reserve(ring_.size());
   requests.reserve(ring_.size());
   while (auto pending = ring_.pop()) {
@@ -190,23 +192,32 @@ void CompletionQueue::flush() {
         cancel_marks_[(pending->id - 1) & (ring_.capacity() - 1)];
     if (cancelled) {
       cancelled = false;
-      finish_pending(*pending, &InvocationCounters::cancelled,
+      finish_pending(*pending, delta, &InvocationCounters::cancelled,
                      trace::SpanPhase::cancelled, Errc::cancelled);
     } else if (pending->deadline != 0 && now > pending->deadline) {
-      finish_pending(*pending, &InvocationCounters::timed_out,
+      finish_pending(*pending, delta, &InvocationCounters::timed_out,
                      trace::SpanPhase::timed_out, Errc::timed_out);
     } else {
       requests.push_back(std::move(pending->request));
       batch.push_back(std::move(*pending));
     }
   }
-  if (batch.empty()) return;
+  if (!batch.empty()) cross(batch, requests, delta);
+  batch.clear();
+  requests.clear();
+  batch_scratch_ = std::move(batch);
+  requests_scratch_ = std::move(requests);
+}
+
+void CompletionQueue::cross(std::vector<Pending>& batch,
+                            std::vector<substrate::SgRequest>& requests,
+                            InvocationCounters& delta) {
   // Delivered, not lost: a batch that cannot cross completes every entry
   // with the reason.
   const auto fail_all = [&](Errc error) {
     for (Pending& pending : batch)
-      finish_pending(pending, &InvocationCounters::completed, std::nullopt,
-                     error);
+      finish_pending(pending, delta, &InvocationCounters::completed,
+                     std::nullopt, error);
   };
 
   // Epoch fence: a supervised restart of the peer re-epochs the channel,
@@ -231,12 +242,10 @@ void CompletionQueue::flush() {
     trace_scope.emplace(traced->ctx);
   }
 
-  std::uint64_t zero_copy_bytes = 0;
-  for (const Pending& pending : batch) zero_copy_bytes += pending.payload;
-  counters_->zero_copy_bytes += zero_copy_bytes;
+  for (const Pending& pending : batch) delta.zero_copy_bytes += pending.payload;
   Result<substrate::BatchReply> reply =
       substrate_.call_batch_sg(actor_, channel_, requests);
-  counters_->record_batch(batch.size());
+  delta.record_batch(batch.size());
   if (!reply) return fail_all(reply.error());  // no handler, revoked, ...
 
   // Cycle accounting: what would the same calls have cost one-at-a-time,
@@ -250,16 +259,14 @@ void CompletionQueue::flush() {
         substrate_.message_cost(requests[i].header.size() + batch[i].payload) +
         substrate_.message_cost(r.ok() ? r->size() : 0);
   }
-  {
-    auto locked = counters_.operator->();
-    locked->sync_equivalent_cycles += sync_equivalent;
-    locked->crossing_cycles += reply->crossing_cycles;
-  }
+  delta.sync_equivalent_cycles += sync_equivalent;
+  delta.crossing_cycles += reply->crossing_cycles;
 
   const Cycles after = substrate_.machine().now();
   for (std::size_t i = 0; i < batch.size(); ++i)
-    finish_pending(batch[i], &InvocationCounters::completed, std::nullopt,
-                   std::move(reply->replies[i]), after - batch[i].submitted_at);
+    finish_pending(batch[i], delta, &InvocationCounters::completed,
+                   std::nullopt, std::move(reply->replies[i]),
+                   after - batch[i].submitted_at);
 }
 
 Status CompletionQueue::doorbell() {
@@ -276,7 +283,8 @@ Status CompletionQueue::doorbell() {
                           controller_.depth());
 
   const std::size_t first = ready_.size();
-  flush();
+  InvocationCounters delta;
+  flush(delta);
   // This window's latency histogram, over the events the flush just formed
   // (the same log2 histogram the cumulative counters keep — but windowed,
   // so a long sparse phase cannot poison the controller's view of what the
@@ -287,7 +295,9 @@ Status CompletionQueue::doorbell() {
     if (it->cycles > 0) window.record_latency(it->cycles);
   controller_.observe(occupancy, window.latency_percentile(0.50),
                       window.latency_percentile(0.99));
+  // The doorbell's one counter lock: the flush's updates and its own.
   auto locked = counters_.operator->();
+  locked->add(delta);
   ++locked->doorbells;
   locked->adaptive_depth = controller_.depth();
   locked->adaptive_grows = controller_.grows();

@@ -253,11 +253,12 @@ class CompletionQueue {
                                SubmitOptions opts, RegionPool* pool = nullptr,
                                RegionPool::Slot slot = {});
   /// The single terminal path for every accepted invocation: bump exactly
-  /// one terminal counter, close the submit span (when `phase` names a
-  /// terminal span and the submission was traced), return the staged slot,
-  /// and form the CqEvent. Every way out of flush() funnels through here
-  /// so no path can leak a RegionPool slot or skip the accounting.
-  void finish_pending(Pending& pending,
+  /// one terminal counter in `delta`, close the submit span (when `phase`
+  /// names a terminal span and the submission was traced), return the
+  /// staged slot, and form the CqEvent. Every way out of flush() funnels
+  /// through here so no path can leak a RegionPool slot or skip the
+  /// accounting.
+  void finish_pending(Pending& pending, InvocationCounters& delta,
                       std::uint64_t InvocationCounters::* counter,
                       std::optional<trace::SpanPhase> phase,
                       Result<Bytes> result, Cycles latency = 0);
@@ -265,7 +266,13 @@ class CompletionQueue {
   /// deadline-expired invocations complete without running; the rest go
   /// through IsolationSubstrate::call_batch_sg. No-op on an empty ring.
   /// Counts no doorbell and feeds no controller — doorbell() does that.
-  void flush();
+  /// Its counter updates accumulate in `delta`, for the caller to apply
+  /// under one lock.
+  void flush(InvocationCounters& delta);
+  /// The crossing of a non-empty flush: `requests[i]` is `batch[i]`'s.
+  void cross(std::vector<Pending>& batch,
+             std::vector<substrate::SgRequest>& requests,
+             InvocationCounters& delta);
   /// Remove `id`'s event from the ready queue and return its outcome;
   /// Errc::invalid_argument when it is not there.
   Result<Bytes> take(SubmissionId id);
@@ -283,6 +290,9 @@ class CompletionQueue {
   /// (meaningful only while pending() > 0); drives the flush_age bound.
   Cycles oldest_submitted_at_ = 0;
   Cycles flush_age_ = 0;
+  /// flush()'s batch and request vectors, kept for their capacity.
+  std::vector<Pending> batch_scratch_;
+  std::vector<substrate::SgRequest> requests_scratch_;
   MetricsHub::CounterSlot own_counters_;
   MetricsHub::CounterRef counters_;
 };

@@ -14,6 +14,7 @@
 // exists to deliver, and bench_fig9 reports it per substrate.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -111,6 +112,30 @@ struct InvocationCounters {
            bucket + 1 < latency_histogram.size())
       ++bucket;
     ++latency_histogram[bucket];
+  }
+
+  /// Fold in `delta`, the updates a holder accumulated off the lock (a
+  /// flush's or a pump's worth), so they cost one locked statement. Counts
+  /// and histograms add, the high-water mark keeps the larger; the adaptive
+  /// gauges are not counts and are left alone.
+  void add(const InvocationCounters& delta) {
+    submitted += delta.submitted;
+    completed += delta.completed;
+    rejected += delta.rejected;
+    cancelled += delta.cancelled;
+    timed_out += delta.timed_out;
+    batches += delta.batches;
+    queue_depth_hwm = std::max(queue_depth_hwm, delta.queue_depth_hwm);
+    for (std::size_t i = 0; i < batch_size_histogram.size(); ++i)
+      batch_size_histogram[i] += delta.batch_size_histogram[i];
+    doorbells += delta.doorbells;
+    sync_equivalent_cycles += delta.sync_equivalent_cycles;
+    crossing_cycles += delta.crossing_cycles;
+    zero_copy_bytes += delta.zero_copy_bytes;
+    latency_total_cycles += delta.latency_total_cycles;
+    latency_count += delta.latency_count;
+    for (std::size_t i = 0; i < latency_histogram.size(); ++i)
+      latency_histogram[i] += delta.latency_histogram[i];
   }
 
   Cycles mean_latency_cycles() const {

@@ -23,6 +23,7 @@
 #include "fleet/protocol.h"
 #include "fleet/ticket.h"
 #include "fleet/verification_cache.h"
+#include "health/audit.h"
 #include "net/network.h"
 #include "runtime/metrics.h"
 #include "test_support.h"
@@ -347,6 +348,18 @@ class FleetTest : public ::testing::Test {
   runtime::MetricsHub hub_;
 };
 
+// The server resolves its own endpoint once, so it must be registered
+// first; a name only claimed by an injection does not count.
+TEST_F(FleetTest, ServerRequiresARegisteredEndpoint) {
+  FleetServerConfig config = server_config();
+  config.endpoint = "not-yet";
+  EXPECT_THROW(FleetServer{config}, Error);
+  ASSERT_TRUE(network_.inject("not-yet", "utility", to_bytes("x")).ok());
+  EXPECT_THROW(FleetServer{config}, Error);
+  ASSERT_TRUE(network_.register_endpoint("not-yet").ok());
+  EXPECT_NO_THROW(FleetServer{config});
+}
+
 TEST_F(FleetTest, FullHandshakeGrantsTicketAndServesBatchedRpc) {
   FleetServer server(server_config());
   FleetClient meter = make_client("meter-1", server);
@@ -609,6 +622,151 @@ TEST_F(FleetTest, BoundedPumpIsBackpressureNotLoss) {
   }
   EXPECT_EQ(hub_.counters("fleet.utility")->completed,
             static_cast<std::uint64_t>(kRequests));
+}
+
+// A reading still in the backlog when its meter starts a new session ran
+// under the old one: its ack must not be sealed on the new session, where
+// the meter would read it as the answer to its next call.
+TEST_F(FleetTest, ReplyNeverCrossesIntoANewSession) {
+  FleetServer server(server_config());
+  FleetClient meter0 = make_client("meter-0", server);
+  FleetClient meter1 = make_client("meter-1", server);
+  ASSERT_TRUE(meter0.connect().ok());
+  ASSERT_TRUE(meter1.connect().ok());
+
+  ASSERT_TRUE(meter0.submit("report", to_bytes("bucket-0")).ok());
+  ASSERT_TRUE(meter1.submit("report", to_bytes("bucket-1")).ok());
+  ASSERT_TRUE(server.pump(1).ok());  // serves meter-0 only
+  ASSERT_EQ(server.backlog(), 1u);
+
+  // meter-1 resumes; the pump that answers its resume also serves the
+  // bucket-1 reading admitted on the old session.
+  ASSERT_TRUE(meter1.connect().ok());
+  ASSERT_TRUE(meter1.resumed());
+  EXPECT_EQ(server.backlog(), 0u);
+
+  auto reply = meter1.call("report", to_bytes("bucket-2"));
+  ASSERT_TRUE(reply.ok()) << errc_name(reply.error());
+  EXPECT_EQ(to_string(*reply), "ack:bucket-2");
+  EXPECT_EQ(meter1.collect().error(), Errc::would_block);
+  auto ack0 = meter0.collect();
+  ASSERT_TRUE(ack0.ok());
+  EXPECT_EQ(to_string(*ack0), "ack:bucket-0");
+
+  // The stale reading still ran and is accounted completed, like a reply
+  // to a vanished peer.
+  EXPECT_EQ(service_runs_, 3);
+  const runtime::InvocationCounters counters =
+      hub_.counters("fleet.utility").snapshot();
+  EXPECT_EQ(counters.submitted, 3u);
+  EXPECT_EQ(counters.completed, 3u);
+  EXPECT_EQ(counters.in_flight(), 0u);
+}
+
+// A datagram injected under a name nobody registered reaches the server
+// and is handled like any other: the resume it carries redeems (and so
+// burns) the ticket, is counted, and leaves audit evidence under the
+// claimed name. Only the answers go nowhere: the network refuses them.
+// (Recorded against the string-keyed server this table replaced.)
+TEST_F(FleetTest, UnregisteredClaimedSourceIsHandledButAnsweredNowhere) {
+  health::AuditLog audit(server_machine_.get());
+  FleetServerConfig config = server_config();
+  config.audit = &audit;
+  config.ticket_ttl = 2'000'000'000;  // outlives the fallback handshakes
+  FleetServer server(config);
+  FleetClient meter = make_client("meter-1", server);
+  ASSERT_TRUE(meter.connect().ok());
+
+  // The attacker takes the meter's resume frame off the wire; the meter
+  // sees no answer and falls back to a full handshake, which leaves it a
+  // fresh ticket.
+  Bytes lifted;
+  const auto lift_resume = [&] {
+    lifted.clear();
+    network_.set_tamperer([&](const std::string&, const std::string&,
+                              BytesView payload) -> std::optional<Bytes> {
+      if (!payload.empty() &&
+          payload[0] == static_cast<std::uint8_t>(FrameKind::resume)) {
+        lifted.assign(payload.begin(), payload.end());
+        return std::nullopt;
+      }
+      return Bytes(payload.begin(), payload.end());
+    });
+    ASSERT_TRUE(meter.connect().ok());
+    EXPECT_FALSE(meter.resumed());
+    network_.clear_tamperer();
+    ASSERT_FALSE(lifted.empty());
+  };
+  lift_resume();
+
+  const std::uint64_t messages = network_.stats().messages;
+  const std::size_t sessions = server.sessions();
+  const std::size_t audited = audit.size();
+
+  // Replayed under an unregistered name with a forged binder: the ticket
+  // is redeemed (burned), then refused for the binder.
+  Bytes forged = lifted;
+  forged.back() ^= 0x01;
+  ASSERT_TRUE(network_.inject("mallory", "utility", forged).ok());
+  ASSERT_TRUE(server.pump().ok());
+  EXPECT_EQ(server.stats().tickets_rejected, 1u);
+  // Again: the ticket is spent now.
+  ASSERT_TRUE(network_.inject("mallory", "utility", forged).ok());
+  ASSERT_TRUE(server.pump().ok());
+  EXPECT_EQ(server.stats().tickets_rejected, 2u);
+  // A record claimed from the same name finds no session: rejected, with
+  // no audit record.
+  const Bytes forged_record = frame(FrameKind::record, Bytes(40, 0x5A));
+  ASSERT_TRUE(network_.inject("mallory", "utility", forged_record).ok());
+  ASSERT_TRUE(server.pump().ok());
+
+  std::vector<health::AuditRecord> records = audit.records(audited);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, health::AuditKind::ticket_rejected);
+  EXPECT_EQ(records[0].component, "mallory");
+  EXPECT_EQ(records[0].errc, Errc::verification_failed);
+  EXPECT_EQ(records[0].detail, "binder");
+  EXPECT_EQ(records[1].kind, health::AuditKind::ticket_rejected);
+  EXPECT_EQ(records[1].component, "mallory");
+  EXPECT_EQ(records[1].errc, Errc::ticket_replayed);
+  EXPECT_EQ(records[1].detail, "redeem");
+
+  // Every answer was refused by the network, so none was sent or counted,
+  // and the real meter's session is untouched.
+  EXPECT_EQ(network_.stats().messages, messages);
+  EXPECT_EQ(server.sessions(), sessions);
+  EXPECT_EQ(network_.receive("meter-1").error(), Errc::would_block);
+  auto reply = meter.call("report", to_bytes("after"));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(to_string(*reply), "ack:after");
+
+  // A second lifted resume, replayed intact: the binder holds, so the
+  // name gets a resumed session (its resume_ok goes nowhere). A forged
+  // record under that name then fails to open, leaves session_tamper
+  // evidence under the name, and drops that session.
+  lift_resume();
+  const std::uint64_t resumed = server.stats().handshakes_resumed;
+  const std::uint64_t sent = network_.stats().messages;
+  const std::size_t live = server.sessions();
+  const std::size_t audited_before_replay = audit.size();
+  ASSERT_TRUE(network_.inject("mallory", "utility", lifted).ok());
+  ASSERT_TRUE(server.pump().ok());
+  EXPECT_EQ(server.stats().handshakes_resumed, resumed + 1);
+  EXPECT_EQ(server.sessions(), live + 1);
+  ASSERT_TRUE(network_.inject("mallory", "utility", forged_record).ok());
+  ASSERT_TRUE(server.pump().ok());
+  EXPECT_EQ(server.sessions(), live);
+
+  records = audit.records(audited_before_replay);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, health::AuditKind::session_tamper);
+  EXPECT_EQ(records[0].component, "mallory");
+  EXPECT_EQ(records[0].errc, Errc::verification_failed);
+  EXPECT_EQ(records[0].detail, "open_record");
+  EXPECT_EQ(network_.stats().messages, sent);
+  reply = meter.call("report", to_bytes("still"));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(to_string(*reply), "ack:still");
 }
 
 TEST_F(FleetTest, ObservabilityDumpCarriesFleetCounters) {

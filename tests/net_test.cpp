@@ -2,6 +2,10 @@
 // attestation, MITM splice refusal, record tamper/replay/reorder detection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "crypto/sha256.h"
 #include "fleet/protocol.h"
 #include "fleet/ticket.h"
@@ -64,6 +68,131 @@ TEST(SimNetwork, InjectionForgesSource) {
   ASSERT_TRUE(datagram.ok());
   // The "from" field is attacker-chosen — claimed identity means nothing.
   EXPECT_EQ(datagram->from, "trusted-peer");
+}
+
+TEST(SimNetwork, EndpointIdsAreDenseAndResolveByName) {
+  SimNetwork network;
+  for (EndpointId expected = 0; expected < 5; ++expected) {
+    auto id = network.register_endpoint("ep-" + std::to_string(expected));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, expected);
+  }
+  EXPECT_EQ(network.register_endpoint("ep-3").error(), Errc::invalid_argument);
+  EXPECT_EQ(network.register_endpoint("").error(), Errc::invalid_argument);
+  EXPECT_EQ(network.resolve("ep-3").value(), 3u);
+  EXPECT_EQ(network.resolve("ghost").error(), Errc::invalid_argument);
+  // A refused registration hands out no id: the next one is still 5.
+  EXPECT_EQ(network.register_endpoint("ep-5").value(), 5u);
+}
+
+TEST(SimNetwork, UnknownIdsRejected) {
+  SimNetwork network;
+  const EndpointId a = network.register_endpoint("a").value();
+  EXPECT_EQ(network.send(a, 1, to_bytes("x")).error(), Errc::invalid_argument);
+  EXPECT_EQ(network.send(1, a, to_bytes("x")).error(), Errc::invalid_argument);
+  EXPECT_EQ(network.send(a, kNoEndpoint, to_bytes("x")).error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network.receive(1).error(), Errc::invalid_argument);
+  EXPECT_EQ(network.receive(kNoEndpoint).error(), Errc::invalid_argument);
+  EXPECT_EQ(network.receive(a).error(), Errc::would_block);
+  // Refused sends are not counted.
+  EXPECT_EQ(network.stats().messages, 0u);
+}
+
+// An id send and a name send are the same datagram: the tamperer sees the
+// same names and bytes, the stats move the same, and the receiver gets the
+// same source. Only the name overloads resolve names.
+TEST(SimNetwork, IdAndNameSendsAreOneDatagramPath) {
+  struct Outcome {
+    std::vector<std::tuple<std::string, std::string, Bytes>> seen;
+    std::vector<std::tuple<std::string, EndpointId, Bytes>> delivered;
+    NetStats stats;
+  };
+  const auto run = [](bool by_id) {
+    Outcome out;
+    SimNetwork network;
+    const EndpointId a = network.register_endpoint("a").value();
+    const EndpointId b = network.register_endpoint("b").value();
+    network.set_tamperer([&out](const std::string& from, const std::string& to,
+                                BytesView payload) -> std::optional<Bytes> {
+      out.seen.emplace_back(from, to, Bytes(payload.begin(), payload.end()));
+      if (payload.size() == 4) return std::nullopt;
+      Bytes copy(payload.begin(), payload.end());
+      if (to_string(payload).starts_with("flip")) copy[0] ^= 0xFF;
+      return copy;
+    });
+    for (const char* text : {"drop", "keep-me", "flip-me"}) {
+      if (by_id)
+        EXPECT_TRUE(network.send(a, b, to_bytes(text)).ok());
+      else
+        EXPECT_TRUE(network.send("a", "b", to_bytes(text)).ok());
+    }
+    while (auto datagram = by_id ? network.receive(b) : network.receive("b"))
+      out.delivered.emplace_back(datagram->from, datagram->from_id,
+                                 std::move(datagram->payload));
+    out.stats = network.stats();
+    return out;
+  };
+  const Outcome by_id = run(true);
+  const Outcome by_name = run(false);
+  EXPECT_EQ(by_id.seen, by_name.seen);
+  EXPECT_EQ(by_id.delivered, by_name.delivered);
+  ASSERT_EQ(by_id.delivered.size(), 2u);
+  EXPECT_EQ(std::get<0>(by_id.delivered[0]), "a");
+  EXPECT_EQ(std::get<1>(by_id.delivered[0]), 0u);
+  EXPECT_EQ(by_id.stats.messages, by_name.stats.messages);
+  EXPECT_EQ(by_id.stats.bytes, by_name.stats.bytes);
+  EXPECT_EQ(by_id.stats.dropped, by_name.stats.dropped);
+  EXPECT_EQ(by_id.stats.modified, by_name.stats.modified);
+  EXPECT_EQ(by_id.stats.dropped, 1u);
+  EXPECT_EQ(by_id.stats.modified, 1u);
+  // Sends and receives by id resolve nothing; by name, each resolves its
+  // names (three sends of two names, three receives of one).
+  EXPECT_EQ(by_id.stats.name_resolutions, 0u);
+  EXPECT_EQ(by_name.stats.name_resolutions, 3u * 2 + 3);
+}
+
+TEST(SimNetwork, InjectionUnderAnUnregisteredNameIsStillDelivered) {
+  SimNetwork network;
+  const EndpointId victim = network.register_endpoint("victim").value();
+  const EndpointId peer = network.register_endpoint("peer").value();
+  ASSERT_TRUE(network.inject("nobody", "victim", to_bytes("forged")).ok());
+  ASSERT_TRUE(network.inject("peer", "victim", to_bytes("spoofed")).ok());
+  ASSERT_TRUE(network.inject("nobody", "victim", to_bytes("again")).ok());
+  // The claimed name gets the next dense id, the same on every injection.
+  auto forged = network.receive(victim);
+  ASSERT_TRUE(forged.ok());
+  EXPECT_EQ(forged->from, "nobody");
+  EXPECT_EQ(forged->from_id, 2u);
+  EXPECT_EQ(to_string(forged->payload), "forged");
+  // A registered claimed name carries that name's id: a spoof lands where
+  // a real datagram from it would.
+  auto spoofed = network.receive(victim);
+  ASSERT_TRUE(spoofed.ok());
+  EXPECT_EQ(spoofed->from_id, peer);
+  EXPECT_EQ(network.receive(victim).value().from_id, forged->from_id);
+
+  // A claimed id neither resolves, receives nor is answered, and cannot be
+  // injected to.
+  EXPECT_EQ(network.resolve("nobody").error(), Errc::invalid_argument);
+  EXPECT_EQ(network.receive(forged->from_id).error(), Errc::invalid_argument);
+  EXPECT_EQ(network.send(victim, forged->from_id, to_bytes("reply")).error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network.send(forged->from_id, victim, to_bytes("x")).error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network.inject("x", "nobody", to_bytes("y")).error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network.stats().messages, 0u);
+
+  // Registering the name keeps its id and opens it. The refused injection
+  // above gave "x" no id, so the next name gets 3.
+  EXPECT_EQ(network.register_endpoint("nobody").value(), forged->from_id);
+  EXPECT_EQ(network.register_endpoint("nobody").error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network.resolve("nobody").value(), forged->from_id);
+  ASSERT_TRUE(network.send(victim, forged->from_id, to_bytes("reply")).ok());
+  EXPECT_EQ(to_string(network.receive("nobody").value().payload), "reply");
+  EXPECT_EQ(network.register_endpoint("late").value(), 3u);
 }
 
 // The moving send and the copying send are one datagram path: the same
@@ -708,6 +837,142 @@ TEST(WireGolden, OpenRecordRejectsEveryByteFlip) {
   auto plain = responder.open_record(*wire);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(*plain, golden_plaintext(23));
+}
+
+/// Two seeded channel pairs in lockstep: the reference record path on one,
+/// the one-buffer seal and the in-place open on the other.
+struct TwinChannels {
+  TwinChannels(const char* i_seed, const char* r_seed)
+      : ref_i(Role::initiator, to_bytes(i_seed), std::nullopt, std::nullopt),
+        ref_r(Role::responder, to_bytes(r_seed), std::nullopt, std::nullopt),
+        i(Role::initiator, to_bytes(i_seed), std::nullopt, std::nullopt),
+        r(Role::responder, to_bytes(r_seed), std::nullopt, std::nullopt) {
+    seeded_handshake(ref_i, ref_r);
+    seeded_handshake(i, r);
+  }
+  SecureChannelEndpoint ref_i, ref_r, i, r;
+};
+
+/// Open `record` in place on `channel` and check it against `expected`
+/// (the reference open_record's plaintext): the same bytes, decrypted
+/// where the ciphertext was.
+void expect_in_place_open(SecureChannelEndpoint& channel, Bytes record,
+                          const Bytes& expected) {
+  auto plain = channel.open_record_in_place(record);
+  ASSERT_TRUE(plain.ok()) << errc_name(plain.error());
+  EXPECT_EQ(plain->data(),
+            record.data() + SecureChannelEndpoint::kRecordHeaderBytes);
+  EXPECT_EQ(Bytes(plain->begin(), plain->end()), expected);
+}
+
+// seal_record_parts(prefix, head, body) is seal_record(head ‖ body, prefix)
+// and open_record_in_place is open_record, byte for byte, on every record
+// golden: each plaintext split at its start, middle and end, both roles.
+TEST(WireGolden, PartsSealAndInPlaceOpenMatchTheRecordPath) {
+  TwinChannels twin("golden-i", "golden-r");
+  for (const std::size_t n : kGoldenLengths) {
+    const Bytes plain = golden_plaintext(n);
+    for (const std::size_t split : {std::size_t{0}, n / 2, n}) {
+      const BytesView head = BytesView(plain).first(split);
+      const BytesView body = BytesView(plain).subspan(split);
+      auto ref_up = twin.ref_i.seal_record(plain);
+      auto up = twin.i.seal_record_parts({}, head, body);
+      ASSERT_TRUE(ref_up.ok() && up.ok());
+      EXPECT_EQ(*up, *ref_up) << "initiator len=" << n << " split=" << split;
+      auto ref_down = twin.ref_r.seal_record(plain);
+      auto down = twin.r.seal_record_parts({}, head, body);
+      ASSERT_TRUE(ref_down.ok() && down.ok());
+      EXPECT_EQ(*down, *ref_down) << "responder len=" << n
+                                  << " split=" << split;
+
+      auto ref_opened = twin.ref_r.open_record(*ref_up);
+      ASSERT_TRUE(ref_opened.ok());
+      EXPECT_EQ(*ref_opened, plain);
+      expect_in_place_open(twin.r, *up, *ref_opened);
+      ref_opened = twin.ref_i.open_record(*ref_down);
+      ASSERT_TRUE(ref_opened.ok());
+      expect_in_place_open(twin.i, *down, *ref_opened);
+    }
+  }
+}
+
+// The fleet's request and reply frames as the two-part seal builds them
+// (method head + payload, error byte + payload) are the frames the
+// encode_rpc_* path builds, golden included; error replies carry no
+// payload either way.
+TEST(WireGolden, FleetPartsSealMatchesEncodedRpcFrames) {
+  const std::string request_golden =
+      "040000000000000000b148a0842409613b1feb56feb48db71d58140b36113f19c7"
+      "28ba9b80c2cfcc242fea9736fad2fb37574e024f129347e5";
+  const std::string reply_golden =
+      "150000000000000001187ea7db704807d1991e5baae7b3f6c6516be1473148a1d8"
+      "04d2bdb3fa2637c693";
+  TwinChannels twin("golden-meter", "golden-utility");
+  const Bytes payload = golden_plaintext(24);
+  const Bytes reply_payload = golden_plaintext(16);
+
+  Bytes head;
+  append_rpc_request_head(head, "report");
+  auto request = fleet::seal_frame(twin.i, fleet::FrameKind::record, head,
+                                   payload);
+  auto ref_request =
+      fleet::seal_frame(twin.ref_i, fleet::FrameKind::record,
+                        encode_rpc_request("report", payload));
+  ASSERT_TRUE(request.ok() && ref_request.ok());
+  EXPECT_EQ(*request, *ref_request);
+  EXPECT_EQ(pin(*request), request_golden);
+
+  for (const Errc error : {Errc::ok, Errc::exhausted, Errc::invalid_argument}) {
+    const std::uint8_t reply_head = rpc_reply_head(error);
+    auto reply = fleet::seal_frame(
+        twin.r, fleet::FrameKind::reply, BytesView(&reply_head, 1),
+        error == Errc::ok ? BytesView(reply_payload) : BytesView());
+    auto ref_reply = fleet::seal_frame(twin.ref_r, fleet::FrameKind::reply,
+                                       encode_rpc_reply(error, reply_payload));
+    ASSERT_TRUE(reply.ok() && ref_reply.ok());
+    EXPECT_EQ(*reply, *ref_reply) << errc_name(error);
+    if (error == Errc::ok) {
+      EXPECT_EQ(pin(*reply), reply_golden);
+    }
+  }
+
+  // Opened in place behind the frame kind, as the fleet opens them.
+  Bytes received = *request;
+  auto plain = twin.r.open_record_in_place(std::span(received).subspan(1));
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(Bytes(plain->begin(), plain->end()),
+            encode_rpc_request("report", payload));
+}
+
+// A refused in-place open refuses exactly what open_record refuses, and
+// leaves the buffer as it was: nothing is decrypted over a forgery.
+TEST(WireGolden, InPlaceOpenRejectsEveryByteFlipAndLeavesTheBuffer) {
+  SecureChannelEndpoint initiator(Role::initiator, to_bytes("golden-i"),
+                                  std::nullopt, std::nullopt);
+  SecureChannelEndpoint responder(Role::responder, to_bytes("golden-r"),
+                                  std::nullopt, std::nullopt);
+  seeded_handshake(initiator, responder);
+  auto wire = initiator.seal_record(golden_plaintext(23));
+  ASSERT_TRUE(wire.ok());
+  for (std::size_t i = 0; i < wire->size(); ++i) {
+    for (const std::uint8_t flip : {0x01, 0x80}) {
+      Bytes forged = *wire;
+      forged[i] ^= flip;
+      const Bytes before = forged;
+      EXPECT_EQ(responder.open_record_in_place(forged).error(),
+                Errc::verification_failed)
+          << "byte " << i << " flip " << int(flip);
+      EXPECT_EQ(forged, before) << "byte " << i << " flip " << int(flip);
+    }
+  }
+  Bytes short_record(SecureChannelEndpoint::kRecordHeaderBytes - 1, 0);
+  EXPECT_EQ(responder.open_record_in_place(short_record).error(),
+            Errc::invalid_argument);
+  // None of the refusals moved the receive sequence.
+  Bytes record = *wire;
+  auto plain = responder.open_record_in_place(record);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(Bytes(plain->begin(), plain->end()), golden_plaintext(23));
 }
 
 }  // namespace

@@ -136,6 +136,45 @@ TEST_F(RsaTest, CrtFaultCheckWithholdsFaultySignature) {
                   .ok());
 }
 
+// generate() builds the Montgomery contexts of p, q and n once; copies
+// share them, and rsa_sign refuses a key without its own.
+TEST_F(RsaTest, GeneratedKeyKeepsItsMontgomeryContexts) {
+  const RsaKeyPair& key = keypair();
+  ASSERT_TRUE(key.mont_p && key.mont_q && key.mont_n);
+  EXPECT_EQ(key.mont_p->value(), key.p);
+  EXPECT_EQ(key.mont_q->value(), key.q);
+  EXPECT_EQ(key.mont_n->value(), key.pub.n);
+  const RsaKeyPair copy = key;
+  EXPECT_EQ(copy.mont_p, key.mont_p);
+  const Bytes message = to_bytes("contexts");
+  EXPECT_EQ(rsa_sign(copy, message), rsa_sign(key, message));
+
+  // A hand-built key (no contexts) or one with contexts that do not match
+  // their fields is refused before anything is computed with them.
+  const auto refused = [&](const RsaKeyPair& bad) {
+    try {
+      (void)rsa_sign(bad, message);
+    } catch (const Error& e) {
+      return std::string(e.what()).find("Montgomery context") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  for (auto RsaKeyPair::* context :
+       {&RsaKeyPair::mont_p, &RsaKeyPair::mont_q, &RsaKeyPair::mont_n}) {
+    RsaKeyPair bare = key;
+    (bare.*context).reset();
+    EXPECT_TRUE(refused(bare));
+  }
+  RsaKeyPair crossed = key;
+  crossed.mont_p = key.mont_q;
+  crossed.mont_q = key.mont_p;
+  EXPECT_TRUE(refused(crossed));
+  RsaKeyPair crossed_n = key;
+  crossed_n.mont_n = key.mont_p;
+  EXPECT_TRUE(refused(crossed_n));
+}
+
 TEST_F(RsaTest, PublicKeySerializationRoundTrip) {
   auto parsed = RsaPublicKey::deserialize(keypair().pub.serialize());
   ASSERT_TRUE(parsed.ok());
