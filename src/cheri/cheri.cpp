@@ -42,6 +42,8 @@ void Cheri::release_memory(DomainId id, DomainRecord& record) {
   (void)record;
   const auto it = allocations_.find(id);
   if (it == allocations_.end()) return;
+  // Scrub: the next compartment on these frames must not read our bytes.
+  (void)machine_.memory().discard(it->second.base, it->second.pages);
   (void)frames_.free(it->second.base, it->second.pages);
   allocations_.erase(it);
 }

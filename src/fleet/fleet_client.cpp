@@ -31,25 +31,32 @@ Status FleetClient::send_frame(FrameKind kind, BytesView payload) {
 }
 
 Result<Bytes> FleetClient::next_frame(FrameKind expected) {
-  auto datagram = config_.network->receive(self_);
-  if (!datagram) {
-    if (!config_.drive) return Errc::io_error;
-    config_.drive();
-    datagram = config_.network->receive(self_);
-    if (!datagram) return Errc::io_error;
+  bool driven = false;
+  for (;;) {
+    auto datagram = config_.network->receive(self_);
+    if (!datagram) {
+      if (!config_.drive || driven) return Errc::io_error;
+      config_.drive();
+      driven = true;
+      continue;
+    }
+    auto parsed = parse_frame(datagram->payload);
+    if (!parsed) return Errc::io_error;
+    // An ack sealed on the session connect() dropped: a reading of ours was
+    // still in the server's backlog. No handshake frame is a reply, and
+    // the old session is gone, so it is skipped.
+    if (parsed->kind == FrameKind::reply) continue;
+    if (parsed->kind == FrameKind::reject) {
+      if (parsed->payload.size() != 1 || parsed->payload[0] == 0)
+        return Errc::io_error;
+      return wire::errc8(parsed->payload[0]);
+    }
+    if (parsed->kind != expected) return Errc::io_error;
+    // The payload, in the datagram's own buffer.
+    Bytes payload = std::move(datagram->payload);
+    payload.erase(payload.begin());
+    return payload;
   }
-  auto parsed = parse_frame(datagram->payload);
-  if (!parsed) return Errc::io_error;
-  if (parsed->kind == FrameKind::reject) {
-    if (parsed->payload.size() != 1 || parsed->payload[0] == 0)
-      return Errc::io_error;
-    return wire::errc8(parsed->payload[0]);
-  }
-  if (parsed->kind != expected) return Errc::io_error;
-  // The payload, in the datagram's own buffer.
-  Bytes payload = std::move(datagram->payload);
-  payload.erase(payload.begin());
-  return payload;
 }
 
 Status FleetClient::connect() {

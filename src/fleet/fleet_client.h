@@ -83,9 +83,11 @@ class FleetClient {
 
   Status connect_full();
   Status connect_resumed();
-  /// Receive the next frame for us, running `drive` first when the queue
-  /// is empty, and return its payload. A reject frame surfaces as its
-  /// carried error code, any kind but `expected` as Errc::io_error.
+  /// Receive the next handshake frame for us, running `drive` (at most
+  /// once) when the queue is empty, and return its payload. Stale `reply`
+  /// frames from a dropped session are skipped. A reject frame surfaces as
+  /// its carried error code, any other kind but `expected` as
+  /// Errc::io_error.
   Result<Bytes> next_frame(FrameKind expected);
   Status send_frame(FrameKind kind, BytesView payload);
   /// The server's network id, resolved on first use and kept.

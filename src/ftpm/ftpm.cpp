@@ -9,7 +9,7 @@ using substrate::Feature;
 using tpm::kNumPcrs;
 
 Ftpm::Ftpm(hw::Machine& machine, substrate::SubstrateConfig config)
-    : IsolationSubstrate(machine, std::move(config)), frames_(machine.dram()) {
+    : PagedSubstrate(machine, std::move(config), machine.dram()) {
   info_.name = "ftpm";
   info_.features = Feature::spatial_isolation | Feature::concurrent_domains |
                    Feature::sealed_storage | Feature::attestation;
@@ -40,101 +40,9 @@ Status Ftpm::admit_domain(const substrate::DomainSpec& spec) const {
   return Status::success();
 }
 
-Status Ftpm::attach_memory(DomainId id, DomainRecord& record) {
-  SecureSpace space;
-  space.frames.reserve(record.spec.memory_pages);
-  for (std::size_t i = 0; i < record.spec.memory_pages; ++i) {
-    auto frame = frames_.allocate(1);
-    if (!frame) {
-      for (const hw::PhysAddr f : space.frames) {
-        (void)machine_.memory().set_page_owner(f, 0);
-        (void)frames_.free(f, 1);
-      }
-      return frame.error();
-    }
-    if (const Status s = machine_.memory().set_page_owner(*frame, kSecureTag);
-        !s.ok())
-      return s;
-    space.frames.push_back(*frame);
-  }
-  BytesView code = record.spec.image.code;
-  for (std::size_t i = 0; i < space.frames.size() && !code.empty(); ++i) {
-    const std::size_t n = std::min<std::size_t>(hw::kPageSize, code.size());
-    machine_.memory().load(space.frames[i], code.subspan(0, n));
-    code = code.subspan(n);
-  }
-  spaces_.emplace(id, std::move(space));
-  return Status::success();
-}
-
-void Ftpm::release_memory(DomainId id, DomainRecord& record) {
-  (void)record;
-  const auto it = spaces_.find(id);
-  if (it == spaces_.end()) return;
-  for (const hw::PhysAddr frame : it->second.frames) {
-    (void)machine_.memory().set_page_owner(frame, 0);
-    (void)frames_.free(frame, 1);
-  }
-  spaces_.erase(it);
-}
-
-Result<Bytes> Ftpm::read_memory(DomainId actor, DomainId target,
-                                std::uint64_t offset, std::size_t len) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  if (actor != target) return Errc::access_denied;
-  const auto it = spaces_.find(target);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  const SecureSpace& space = it->second;
-  if (offset + len > space.frames.size() * hw::kPageSize ||
-      offset + len < offset)
-    return Errc::access_denied;
-
-  machine_.charge(0, machine_.costs().memcpy_per_16_bytes, len);
-  const hw::AccessContext ctx{hw::SecurityState::secure, kSecureTag};
-  Bytes out;
-  out.reserve(len);
-  while (len > 0) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(len, hw::kPageSize - in_page);
-    Bytes chunk;
-    if (const Status s = machine_.memory().read(
-            ctx, space.frames[page] + in_page, n, chunk);
-        !s.ok())
-      return s.error();
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    offset += n;
-    len -= n;
-  }
-  return out;
-}
-
-Status Ftpm::write_memory(DomainId actor, DomainId target,
-                          std::uint64_t offset, BytesView data) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  if (actor != target) return Errc::access_denied;
-  const auto it = spaces_.find(target);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  const SecureSpace& space = it->second;
-  if (offset + data.size() > space.frames.size() * hw::kPageSize ||
-      offset + data.size() < offset)
-    return Errc::access_denied;
-
-  machine_.charge(0, machine_.costs().memcpy_per_16_bytes, data.size());
-  const hw::AccessContext ctx{hw::SecurityState::secure, kSecureTag};
-  std::uint64_t cursor = offset;
-  while (!data.empty()) {
-    const std::size_t page = cursor / hw::kPageSize;
-    const std::size_t in_page = cursor % hw::kPageSize;
-    const std::size_t n = std::min(data.size(), hw::kPageSize - in_page);
-    if (const Status s = machine_.memory().write(
-            ctx, space.frames[page] + in_page, data.subspan(0, n));
-        !s.ok())
-      return s;
-    data = data.subspan(n);
-    cursor += n;
-  }
-  return Status::success();
+hw::AccessContext Ftpm::domain_context(DomainId,
+                                       const substrate::DomainSpec&) const {
+  return {hw::SecurityState::secure, kSecureTag};
 }
 
 Status Ftpm::pcr_extend(std::size_t index, const crypto::Digest& digest) {

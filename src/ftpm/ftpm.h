@@ -16,24 +16,20 @@
 //    secure-world OS's secondary isolation.
 #pragma once
 
+#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "substrate/substrate.h"
 #include "tpm/nv_counter.h"
 #include "tpm/pcr_bank.h"
 
 namespace lateral::ftpm {
 
-class Ftpm final : public substrate::IsolationSubstrate {
+// Memory: secure-world DRAM frames behind the TZASC, plaintext on the bus;
+// a component touches only its own.
+class Ftpm final : public substrate::PagedSubstrate {
  public:
   Ftpm(hw::Machine& machine, substrate::SubstrateConfig config);
 
   const substrate::SubstrateInfo& info() const override;
-
-  Result<Bytes> read_memory(substrate::DomainId actor,
-                            substrate::DomainId target, std::uint64_t offset,
-                            std::size_t len) override;
-  Status write_memory(substrate::DomainId actor, substrate::DomainId target,
-                      std::uint64_t offset, BytesView data) override;
 
   // --- TPM command set (same signatures as tpm::Tpm) ------------------------
   Status pcr_extend(std::size_t index, const crypto::Digest& digest);
@@ -56,8 +52,9 @@ class Ftpm final : public substrate::IsolationSubstrate {
 
  protected:
   Status admit_domain(const substrate::DomainSpec& spec) const override;
-  Status attach_memory(substrate::DomainId id, DomainRecord& record) override;
-  void release_memory(substrate::DomainId id, DomainRecord& record) override;
+  hw::AccessContext domain_context(substrate::DomainId id,
+                                   const substrate::DomainSpec& spec)
+      const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
   Cycles attest_cost() const override;
@@ -66,15 +63,9 @@ class Ftpm final : public substrate::IsolationSubstrate {
   /// Secure-world page tag (the TZASC programming the fTPM relies on).
   static constexpr std::uint64_t kSecureTag = 0xF79A'0001;
 
-  struct SecureSpace {
-    std::vector<hw::PhysAddr> frames;
-  };
-
   Cycles command_cost() const;
 
   substrate::SubstrateInfo info_;
-  hw::FrameAllocator frames_;
-  std::map<substrate::DomainId, SecureSpace> spaces_;
   tpm::PcrBank pcrs_;
   tpm::NvCounterBank nv_;
   std::uint64_t seal_pcr_nonce_ = 1;

@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/ring_registry.h"
 #include "util/types.h"
 
 namespace lateral::health {
@@ -115,9 +115,9 @@ class ProfileRing {
 };
 
 /// Owns the per-domain sample rings, the sampling counter and the master
-/// switch. Mirrors trace::Tracer: rings are keyed by (substrate instance,
-/// domain id), labelled with the domain name, created on first sample, and
-/// survive until scrub().
+/// switch. Rings live in the same util::RingRegistry as trace::Tracer's:
+/// keyed by (substrate instance, domain id), labelled with the domain name,
+/// created on first sample, and kept until scrub().
 class CycleProfiler {
  public:
   struct Config {
@@ -160,36 +160,16 @@ class CycleProfiler {
   /// Snapshot of one domain's samples; empty when it never sampled.
   std::vector<ProfileSample> snapshot(const void* owner,
                                       std::uint64_t domain) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = rings_.find({owner, domain});
-    return it == rings_.end() ? std::vector<ProfileSample>{}
-                              : it->second.ring->snapshot();
+    return rings_.snapshot(owner, domain);
   }
 
   /// Forget one domain's profile (after a supervisor reaped the corpse).
   void scrub(const void* owner, std::uint64_t domain) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = rings_.find({owner, domain});
-    if (it == rings_.end()) return;
-    it->second.ring->clear();
-    it->second.label.clear();
+    rings_.scrub(owner, domain);
   }
 
-  struct RingRef {
-    const void* owner = nullptr;
-    std::uint64_t domain = 0;
-    std::string label;
-    const ProfileRing* ring = nullptr;
-  };
-  std::vector<RingRef> rings() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<RingRef> out;
-    out.reserve(rings_.size());
-    for (const auto& [key, entry] : rings_)
-      out.push_back(RingRef{key.first, key.second, entry.label,
-                            entry.ring.get()});
-    return out;
-  }
+  using RingRef = util::RingRegistry<ProfileRing>::Ref;
+  std::vector<RingRef> rings() const { return rings_.rings(); }
 
   /// Total samples taken across all rings (monotonic).
   std::uint64_t samples_taken() const {
@@ -204,27 +184,18 @@ class CycleProfiler {
   std::string collapsed_stacks() const;
 
  private:
-  struct Entry {
-    std::string label;
-    std::unique_ptr<ProfileRing> ring;
-  };
-
   ProfileRing& ring(const void* owner, std::uint64_t domain,
                     std::string_view label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& entry = rings_[{owner, domain}];
-    if (!entry.ring)
-      entry.ring = std::make_unique<ProfileRing>(config_.ring_capacity);
-    if (entry.label.empty() && !label.empty()) entry.label = label;
-    return *entry.ring;
+    return rings_.find_or_create(owner, domain, label, [this] {
+      return std::make_unique<ProfileRing>(config_.ring_capacity);
+    });
   }
 
   Config config_;
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> samples_{0};
-  mutable std::mutex mu_;  // guards rings_ (the map, not ring contents)
-  std::map<std::pair<const void*, std::uint64_t>, Entry> rings_;
+  util::RingRegistry<ProfileRing> rings_;
 };
 
 }  // namespace lateral::health

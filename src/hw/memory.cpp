@@ -149,6 +149,15 @@ Status PhysicalMemory::raw_write(PhysAddr addr, BytesView data) {
   return Status::success();
 }
 
+Status PhysicalMemory::discard(PhysAddr addr, std::size_t pages) {
+  const std::size_t first = addr / kPageSize;
+  if (addr % kPageSize != 0 || first > pages_.size() ||
+      pages > pages_.size() - first)
+    return Errc::invalid_argument;
+  for (std::size_t i = first; i < first + pages; ++i) pages_[i].reset();
+  return Status::success();
+}
+
 void PhysicalMemory::load(PhysAddr addr, BytesView data) {
   if (addr + data.size() > size_)
     throw Error("PhysicalMemory::load out of bounds");

@@ -84,6 +84,12 @@ class PhysicalMemory {
   Status raw_read(PhysAddr addr, std::size_t len, Bytes& out) const;
   Status raw_write(PhysAddr addr, BytesView data);
 
+  /// Scrub `pages` pages from the page-aligned `addr`: their storage is
+  /// dropped and they read as zeros again, like pages never written. What
+  /// releases a frame calls this so the next owner cannot read the last
+  /// one's bytes. Errc::invalid_argument when misaligned or out of range.
+  Status discard(PhysAddr addr, std::size_t pages);
+
   /// Loader path: ignores all protection. Only boot ROM setup and test
   /// fixtures use it.
   void load(PhysAddr addr, BytesView data);

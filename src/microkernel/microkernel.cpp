@@ -9,8 +9,8 @@ using substrate::Feature;
 Microkernel::Microkernel(hw::Machine& machine,
                          substrate::SubstrateConfig config,
                          SchedulingPolicy policy)
-    : IsolationSubstrate(machine, std::move(config)),
-      frames_(machine.dram()),
+    : PagedSubstrate(machine, std::move(config), machine.dram(),
+                     std::nullopt, machine.costs().page_table_update),
       scheduler_(policy, machine.core_count()),
       iommu_(hw::Iommu::Mode::enforcing) {
   info_.name = "microkernel";
@@ -35,120 +35,27 @@ Status Microkernel::admit_domain(const substrate::DomainSpec& spec) const {
 }
 
 Status Microkernel::attach_memory(DomainId id, DomainRecord& record) {
-  AddressSpace space;
-  space.frames.reserve(record.spec.memory_pages);
-  for (std::size_t i = 0; i < record.spec.memory_pages; ++i) {
-    auto frame = frames_.allocate(1);
-    if (!frame) {
-      for (const hw::PhysAddr f : space.frames) (void)frames_.free(f, 1);
-      return frame.error();
-    }
-    machine_.advance(machine_.costs().page_table_update);
-    space.frames.push_back(*frame);
-  }
-  // Load the image into the first pages of the address space (plaintext in
-  // DRAM — visible to a physical attacker by design of this substrate).
-  BytesView code = record.spec.image.code;
-  for (std::size_t i = 0; i < space.frames.size() && !code.empty(); ++i) {
-    const std::size_t n = std::min<std::size_t>(hw::kPageSize, code.size());
-    machine_.memory().load(space.frames[i], code.subspan(0, n));
-    code = code.subspan(n);
-  }
-  spaces_.emplace(id, std::move(space));
+  if (const Status s = PagedSubstrate::attach_memory(id, record); !s.ok())
+    return s;
   (void)scheduler_.add_domain(id, record.spec.time_share_permille);
   return Status::success();
 }
 
 void Microkernel::release_memory(DomainId id, DomainRecord& record) {
-  (void)record;
-  const auto it = spaces_.find(id);
-  if (it == spaces_.end()) return;
-  for (const hw::PhysAddr frame : it->second.frames)
-    (void)frames_.free(frame, 1);
-  spaces_.erase(it);
+  PagedSubstrate::release_memory(id, record);
   (void)scheduler_.remove_domain(id);
   // No dangling memory rights: drop every grant touching the domain.
-  for (auto grant_it = grants_.begin(); grant_it != grants_.end();) {
-    if (grant_it->first.first == id || grant_it->first.second == id)
-      grant_it = grants_.erase(grant_it);
-    else
-      ++grant_it;
-  }
+  std::erase_if(grants_, [id](const auto& grant) {
+    return grant.first.first == id || grant.first.second == id;
+  });
 }
 
-Result<Microkernel::AddressSpace*> Microkernel::space_of(DomainId id) {
-  const auto it = spaces_.find(id);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  return &it->second;
-}
-
-Result<Bytes> Microkernel::read_memory(DomainId actor, DomainId target,
-                                       std::uint64_t offset, std::size_t len) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  // The MMU only walks the actor's own page tables: there is no path to
-  // another address space, so any cross-domain access is a fault.
-  if (actor != target) return Errc::access_denied;
-  if (!find_domain(actor)) return Errc::no_such_domain;
-  auto space = space_of(target);
-  if (!space) return space.error();
-  if (offset + len > (*space)->frames.size() * hw::kPageSize ||
-      offset + len < offset)
-    return Errc::access_denied;  // page fault
-
-  machine_.charge(machine_.costs().syscall,
-                  machine_.costs().memcpy_per_16_bytes, len);
-  Bytes out;
-  out.reserve(len);
-  const hw::AccessContext ctx{hw::SecurityState::non_secure, 0};
-  while (len > 0) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(len, hw::kPageSize - in_page);
-    Bytes chunk;
-    if (const Status s = machine_.memory().read(
-            ctx, (*space)->frames[page] + in_page, n, chunk);
-        !s.ok())
-      return s.error();
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    offset += n;
-    len -= n;
-  }
-  return out;
-}
-
-Status Microkernel::write_memory(DomainId actor, DomainId target,
-                                 std::uint64_t offset, BytesView data) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  if (actor != target) return Errc::access_denied;
-  if (!find_domain(actor)) return Errc::no_such_domain;
-  auto space = space_of(target);
-  if (!space) return space.error();
-  if (offset + data.size() > (*space)->frames.size() * hw::kPageSize ||
-      offset + data.size() < offset)
-    return Errc::access_denied;
-
-  machine_.charge(machine_.costs().syscall,
-                  machine_.costs().memcpy_per_16_bytes, data.size());
-  const hw::AccessContext ctx{hw::SecurityState::non_secure, 0};
-  while (!data.empty()) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(data.size(), hw::kPageSize - in_page);
-    if (const Status s = machine_.memory().write(
-            ctx, (*space)->frames[page] + in_page, data.subspan(0, n));
-        !s.ok())
-      return s;
-    data = data.subspan(n);
-    offset += n;
-  }
-  return Status::success();
-}
-
-Result<std::vector<hw::PhysAddr>> Microkernel::domain_frames(
-    DomainId domain) const {
-  const auto it = spaces_.find(domain);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  return it->second.frames;
+substrate::PagedSubstrate::AccessCharge Microkernel::access_charge(
+    const Space&, bool) const {
+  // The MMU only walks the actor's own page tables; reaching them is a
+  // syscall.
+  return {.fixed = machine_.costs().syscall,
+          .per_16_bytes = machine_.costs().memcpy_per_16_bytes};
 }
 
 hw::Device Microkernel::make_device(const std::string& name) {
@@ -157,9 +64,9 @@ hw::Device Microkernel::make_device(const std::string& name) {
 
 Status Microkernel::grant_dma(DomainId driver, const hw::Device& device,
                               bool writable) {
-  const auto it = spaces_.find(driver);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  for (const hw::PhysAddr frame : it->second.frames) {
+  const Space* space = find_space(driver);
+  if (!space) return Errc::no_such_domain;
+  for (const hw::PhysAddr frame : space->frames) {
     if (const Status s = iommu_.map(device.id(), frame, 1, writable); !s.ok())
       return s;
   }
@@ -169,11 +76,10 @@ Status Microkernel::grant_dma(DomainId driver, const hw::Device& device,
 Status Microkernel::grant_memory(DomainId owner, DomainId grantee,
                                  std::size_t first_page, std::size_t pages,
                                  bool writable) {
-  const auto owner_it = spaces_.find(owner);
-  if (owner_it == spaces_.end() || !spaces_.contains(grantee))
-    return Errc::no_such_domain;
+  const Space* space = find_space(owner);
+  if (!space || !find_space(grantee)) return Errc::no_such_domain;
   if (owner == grantee || pages == 0) return Errc::invalid_argument;
-  if (first_page + pages > owner_it->second.frames.size())
+  if (first_page + pages > space->frames.size())
     return Errc::invalid_argument;
   machine_.advance(machine_.costs().syscall +
                    machine_.costs().page_table_update * pages);
@@ -196,8 +102,7 @@ const Microkernel::MemoryGrant* Microkernel::find_grant(
     bool write) const {
   const auto it = grants_.find({owner, grantee});
   if (it == grants_.end()) return nullptr;
-  const std::size_t first_page = offset / hw::kPageSize;
-  const std::size_t last_page = (offset + len - 1) / hw::kPageSize;
+  const auto [first_page, last_page] = page_span(offset, len);
   for (const MemoryGrant& grant : it->second) {
     if (write && !grant.writable) continue;
     if (first_page >= grant.first_page &&
@@ -210,62 +115,26 @@ const Microkernel::MemoryGrant* Microkernel::find_grant(
 Result<Bytes> Microkernel::read_granted(DomainId grantee, DomainId owner,
                                         std::uint64_t offset,
                                         std::size_t len) {
-  if (!spaces_.contains(grantee)) return Errc::no_such_domain;
-  auto space = space_of(owner);
-  if (!space) return space.error();
+  const Space* space = find_space(owner);
+  if (!find_space(grantee) || !space) return Errc::no_such_domain;
   if (len == 0) return Bytes{};
-  if (offset + len > (*space)->frames.size() * hw::kPageSize ||
-      offset + len < offset)
+  if (!in_bounds(*space, offset, len) ||
+      !find_grant(grantee, owner, offset, len, /*write=*/false))
     return Errc::access_denied;
-  if (!find_grant(grantee, owner, offset, len, /*write=*/false))
-    return Errc::access_denied;
-
   machine_.charge(0, machine_.costs().memcpy_per_16_bytes, len);
-  const hw::AccessContext ctx{hw::SecurityState::non_secure, 0};
-  Bytes out;
-  out.reserve(len);
-  while (len > 0) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(len, hw::kPageSize - in_page);
-    Bytes chunk;
-    if (const Status s = machine_.memory().read(
-            ctx, (*space)->frames[page] + in_page, n, chunk);
-        !s.ok())
-      return s.error();
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    offset += n;
-    len -= n;
-  }
-  return out;
+  return read_span(*space, space->ctx, offset, len);
 }
 
 Status Microkernel::write_granted(DomainId grantee, DomainId owner,
                                   std::uint64_t offset, BytesView data) {
-  if (!spaces_.contains(grantee)) return Errc::no_such_domain;
-  auto space = space_of(owner);
-  if (!space) return space.error();
+  const Space* space = find_space(owner);
+  if (!find_space(grantee) || !space) return Errc::no_such_domain;
   if (data.empty()) return Status::success();
-  if (offset + data.size() > (*space)->frames.size() * hw::kPageSize ||
-      offset + data.size() < offset)
+  if (!in_bounds(*space, offset, data.size()) ||
+      !find_grant(grantee, owner, offset, data.size(), /*write=*/true))
     return Errc::access_denied;
-  if (!find_grant(grantee, owner, offset, data.size(), /*write=*/true))
-    return Errc::access_denied;
-
   machine_.charge(0, machine_.costs().memcpy_per_16_bytes, data.size());
-  const hw::AccessContext ctx{hw::SecurityState::non_secure, 0};
-  while (!data.empty()) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(data.size(), hw::kPageSize - in_page);
-    if (const Status s = machine_.memory().write(
-            ctx, (*space)->frames[page] + in_page, data.subspan(0, n));
-        !s.ok())
-      return s;
-    data = data.subspan(n);
-    offset += n;
-  }
-  return Status::success();
+  return write_span(*space, space->ctx, offset, data);
 }
 
 Cycles Microkernel::message_cost(std::size_t len) const {

@@ -17,28 +17,20 @@
 
 #include "hw/iommu.h"
 #include "microkernel/scheduler.h"
+#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "substrate/substrate.h"
 
 namespace lateral::microkernel {
 
-class Microkernel final : public substrate::IsolationSubstrate {
+// Memory: plaintext DRAM frames, one page-table write per frame mapped; a
+// domain touches only its own address space (each access a syscall plus
+// the copy) unless granted pages of another.
+class Microkernel final : public substrate::PagedSubstrate {
  public:
   Microkernel(hw::Machine& machine, substrate::SubstrateConfig config,
               SchedulingPolicy policy = SchedulingPolicy::work_conserving);
 
   const substrate::SubstrateInfo& info() const override;
-
-  Result<Bytes> read_memory(substrate::DomainId actor,
-                            substrate::DomainId target, std::uint64_t offset,
-                            std::size_t len) override;
-  Status write_memory(substrate::DomainId actor, substrate::DomainId target,
-                      std::uint64_t offset, BytesView data) override;
-
-  /// Physical frames backing a domain (tests use this to demonstrate what a
-  /// physical attacker can read from DRAM).
-  Result<std::vector<hw::PhysAddr>> domain_frames(
-      substrate::DomainId domain) const;
 
   Scheduler& scheduler() { return scheduler_; }
   hw::Iommu& iommu() { return iommu_; }
@@ -80,16 +72,9 @@ class Microkernel final : public substrate::IsolationSubstrate {
   /// Grant regions are L4 map items: one syscall establishes the mapping,
   /// then both tasks address the same frames directly.
   Cycles region_map_cost(std::size_t pages) const override;
+  AccessCharge access_charge(const Space& actor, bool write) const override;
 
  private:
-  struct AddressSpace {
-    std::vector<hw::PhysAddr> frames;  // virtual page i -> frames[i]
-  };
-
-  /// Translate (domain, offset, len) to a frame-local access plan; denies
-  /// out-of-range accesses (page-fault analogue).
-  Result<AddressSpace*> space_of(substrate::DomainId id);
-
   struct MemoryGrant {
     std::size_t first_page = 0;
     std::size_t pages = 0;
@@ -103,8 +88,6 @@ class Microkernel final : public substrate::IsolationSubstrate {
                                 bool write) const;
 
   substrate::SubstrateInfo info_;
-  hw::FrameAllocator frames_;
-  std::map<substrate::DomainId, AddressSpace> spaces_;
   /// (owner, grantee) -> grants.
   std::map<std::pair<substrate::DomainId, substrate::DomainId>,
            std::vector<MemoryGrant>>

@@ -55,6 +55,8 @@ void NocFabric::release_memory(DomainId id, DomainRecord& record) {
   (void)record;
   const auto it = tiles_.find(id);
   if (it == tiles_.end()) return;
+  // Scrub: the next tile on this memory must not read our bytes.
+  (void)machine_.memory().discard(it->second.memory_base, it->second.pages);
   (void)frames_.free(it->second.memory_base, it->second.pages);
   tiles_.erase(it);
 }

@@ -21,25 +21,19 @@
 // (used by the fig6 ablation).
 #pragma once
 
-#include <map>
-
-#include "crypto/aes.h"
+#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "substrate/substrate.h"
 
 namespace lateral::sgx {
 
-class Sgx final : public substrate::IsolationSubstrate {
+// Memory: DRAM frames behind the MEE; enclave pages carry their EPC tag
+// and are encrypted. An enclave may touch its host, nothing touches an
+// enclave from outside.
+class Sgx final : public substrate::PagedSubstrate {
  public:
   Sgx(hw::Machine& machine, substrate::SubstrateConfig config);
 
   const substrate::SubstrateInfo& info() const override;
-
-  Result<Bytes> read_memory(substrate::DomainId actor,
-                            substrate::DomainId target, std::uint64_t offset,
-                            std::size_t len) override;
-  Status write_memory(substrate::DomainId actor, substrate::DomainId target,
-                      std::uint64_t offset, BytesView data) override;
 
   /// Remote attestation via the quoting enclave (extra local-report and
   /// enclave-crossing costs); enclaves only.
@@ -67,9 +61,6 @@ class Sgx final : public substrate::IsolationSubstrate {
   Status verify_report(substrate::DomainId verifier,
                        const LocalReport& report);
 
-  Result<std::vector<hw::PhysAddr>> domain_frames(
-      substrate::DomainId domain) const;
-
   /// Cache side channel: a local-software attacker observing an enclave
   /// recovers `leak_fraction` of the requested bytes (deterministic stride).
   /// Returns the partially-recovered buffer with unknown bytes zeroed.
@@ -79,8 +70,11 @@ class Sgx final : public substrate::IsolationSubstrate {
 
  protected:
   Status admit_domain(const substrate::DomainSpec& spec) const override;
-  Status attach_memory(substrate::DomainId id, DomainRecord& record) override;
-  void release_memory(substrate::DomainId id, DomainRecord& record) override;
+  hw::AccessContext domain_context(substrate::DomainId id,
+                                   const substrate::DomainSpec& spec)
+      const override;
+  Result<Spaces> check_access(substrate::DomainId actor,
+                              substrate::DomainId target) const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
   Cycles attest_cost() const override;
@@ -91,35 +85,9 @@ class Sgx final : public substrate::IsolationSubstrate {
   Cycles region_map_cost(std::size_t pages) const override;
 
  private:
-  struct EnclaveSpace {
-    bool enclave = false;  // false => untrusted host domain
-    std::vector<hw::PhysAddr> frames;
-    /// Per-page write counters (freshness) and MACs (integrity), held
-    /// on-die by the real MEE.
-    std::vector<std::uint64_t> page_versions;
-    std::vector<crypto::Digest> page_macs;
-  };
-
   static constexpr std::uint64_t kEpcTagBase = 0xE9C0'0000'0000ULL;
 
-  Result<const EnclaveSpace*> space_of(substrate::DomainId id) const;
-  Result<EnclaveSpace*> space_of(substrate::DomainId id);
-
-  /// MEE transforms for one page.
-  Bytes mee_encrypt(hw::PhysAddr page_addr, std::uint64_t version,
-                    BytesView plaintext) const;
-  Bytes mee_decrypt(hw::PhysAddr page_addr, std::uint64_t version,
-                    BytesView ciphertext) const;
-  crypto::Digest mee_mac(hw::PhysAddr page_addr, std::uint64_t version,
-                         BytesView ciphertext) const;
-
-  Result<Bytes> read_page(const EnclaveSpace& space, std::size_t page) const;
-  Status write_page(EnclaveSpace& space, std::size_t page, BytesView content);
-
   substrate::SubstrateInfo info_;
-  hw::FrameAllocator frames_;
-  std::map<substrate::DomainId, EnclaveSpace> spaces_;
-  crypto::EncMacKeys mee_;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

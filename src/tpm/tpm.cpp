@@ -10,8 +10,7 @@ using substrate::DomainKind;
 using substrate::Feature;
 
 Tpm::Tpm(hw::Machine& machine, substrate::SubstrateConfig config)
-    : IsolationSubstrate(machine, std::move(config)),
-      sram_frames_(machine.sram()) {
+    : PagedSubstrate(machine, std::move(config), machine.sram()) {
   info_.name = "tpm";
   info_.features = Feature::spatial_isolation | Feature::sealed_storage |
                    Feature::attestation | Feature::late_launch;
@@ -37,86 +36,15 @@ Status Tpm::admit_domain(const substrate::DomainSpec& spec) const {
   return Status::success();
 }
 
-Status Tpm::attach_memory(DomainId id, DomainRecord& record) {
-  ChipSpace space;
-  space.frames.reserve(record.spec.memory_pages);
-  for (std::size_t i = 0; i < record.spec.memory_pages; ++i) {
-    auto frame = sram_frames_.allocate(1);
-    if (!frame) {
-      for (const hw::PhysAddr f : space.frames) (void)sram_frames_.free(f, 1);
-      return frame.error();
-    }
-    space.frames.push_back(*frame);
-  }
-  BytesView code = record.spec.image.code;
-  for (std::size_t i = 0; i < space.frames.size() && !code.empty(); ++i) {
-    const std::size_t n = std::min<std::size_t>(hw::kPageSize, code.size());
-    machine_.memory().load(space.frames[i], code.subspan(0, n));
-    code = code.subspan(n);
-  }
-  spaces_.emplace(id, std::move(space));
-  return Status::success();
-}
-
 void Tpm::release_memory(DomainId id, DomainRecord& record) {
-  (void)record;
-  const auto it = spaces_.find(id);
-  if (it == spaces_.end()) return;
-  for (const hw::PhysAddr frame : it->second.frames)
-    (void)sram_frames_.free(frame, 1);
-  spaces_.erase(it);
+  PagedSubstrate::release_memory(id, record);
   if (active_ == id) active_ = substrate::kInvalidDomain;
 }
 
-Result<Bytes> Tpm::read_memory(DomainId actor, DomainId target,
-                               std::uint64_t offset, std::size_t len) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  if (actor != target) return Errc::access_denied;
-  const auto it = spaces_.find(target);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  const ChipSpace& space = it->second;
-  if (offset + len > space.frames.size() * hw::kPageSize ||
-      offset + len < offset)
-    return Errc::access_denied;
-
-  machine_.charge(machine_.costs().tpm_command_base,
-                  machine_.costs().tpm_per_byte * 16, len);
-  Bytes out;
-  out.reserve(len);
-  while (len > 0) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(len, hw::kPageSize - in_page);
-    Bytes chunk = machine_.memory().dump(space.frames[page] + in_page, n);
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    offset += n;
-    len -= n;
-  }
-  return out;
-}
-
-Status Tpm::write_memory(DomainId actor, DomainId target, std::uint64_t offset,
-                         BytesView data) {
-  if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
-  if (actor != target) return Errc::access_denied;
-  const auto it = spaces_.find(target);
-  if (it == spaces_.end()) return Errc::no_such_domain;
-  const ChipSpace& space = it->second;
-  if (offset + data.size() > space.frames.size() * hw::kPageSize ||
-      offset + data.size() < offset)
-    return Errc::access_denied;
-
-  machine_.charge(machine_.costs().tpm_command_base,
-                  machine_.costs().tpm_per_byte * 16, data.size());
-  while (!data.empty()) {
-    const std::size_t page = offset / hw::kPageSize;
-    const std::size_t in_page = offset % hw::kPageSize;
-    const std::size_t n = std::min(data.size(), hw::kPageSize - in_page);
-    machine_.memory().load(space.frames[page] + in_page, data.subspan(0, n));
-    data = data.subspan(n);
-    offset += n;
-  }
-  return Status::success();
+substrate::PagedSubstrate::AccessCharge Tpm::access_charge(const Space&,
+                                                           bool) const {
+  return {.fixed = machine_.costs().tpm_command_base,
+          .per_16_bytes = machine_.costs().tpm_per_byte * 16};
 }
 
 Status Tpm::pcr_extend(std::size_t index, const crypto::Digest& digest) {
@@ -183,8 +111,7 @@ Result<std::uint64_t> Tpm::nv_increment(const std::string& name) {
 
 Status Tpm::pre_call(DomainId actor, DomainId callee) {
   (void)actor;
-  const auto it = spaces_.find(callee);
-  if (it == spaces_.end()) return Errc::no_such_domain;
+  if (!find_space(callee)) return Errc::no_such_domain;
   if (active_ != callee) {
     // Late launch: stop everything, reset the DRTM PCR, measure the new
     // component, transfer control. Mutual isolation between components

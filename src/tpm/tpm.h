@@ -17,24 +17,20 @@
 //    substrate.
 #pragma once
 
+#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "substrate/substrate.h"
 #include "tpm/nv_counter.h"
 #include "tpm/pcr_bank.h"
 
 namespace lateral::tpm {
 
-class Tpm final : public substrate::IsolationSubstrate {
+// Memory: on-chip SRAM frames; a component touches only its own, each
+// access one command over the bus.
+class Tpm final : public substrate::PagedSubstrate {
  public:
   Tpm(hw::Machine& machine, substrate::SubstrateConfig config);
 
   const substrate::SubstrateInfo& info() const override;
-
-  Result<Bytes> read_memory(substrate::DomainId actor,
-                            substrate::DomainId target, std::uint64_t offset,
-                            std::size_t len) override;
-  Status write_memory(substrate::DomainId actor, substrate::DomainId target,
-                      std::uint64_t offset, BytesView data) override;
 
   // --- PCR interface ------------------------------------------------------
   /// PCR_Extend: pcr = H(pcr || digest).
@@ -71,8 +67,8 @@ class Tpm final : public substrate::IsolationSubstrate {
 
  protected:
   Status admit_domain(const substrate::DomainSpec& spec) const override;
-  Status attach_memory(substrate::DomainId id, DomainRecord& record) override;
   void release_memory(substrate::DomainId id, DomainRecord& record) override;
+  AccessCharge access_charge(const Space& actor, bool write) const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
   Cycles attest_cost() const override;
@@ -82,13 +78,7 @@ class Tpm final : public substrate::IsolationSubstrate {
                   substrate::DomainId callee) override;
 
  private:
-  struct ChipSpace {
-    std::vector<hw::PhysAddr> frames;  // on-chip SRAM pages
-  };
-
   substrate::SubstrateInfo info_;
-  hw::FrameAllocator sram_frames_;
-  std::map<substrate::DomainId, ChipSpace> spaces_;
   PcrBank pcrs_;
   NvCounterBank nv_;
   substrate::DomainId active_ = substrate::kInvalidDomain;

@@ -124,61 +124,6 @@ void FlightRecorder::clear() {
 // ---------------------------------------------------------------------------
 // Tracer
 
-FlightRecorder& Tracer::recorder(const void* owner, std::uint64_t domain,
-                                 std::string_view label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto key = std::make_pair(owner, domain);
-  auto it = rings_.find(key);
-  if (it == rings_.end()) {
-    Entry entry;
-    entry.label = std::string(label);
-    entry.ring = std::make_unique<FlightRecorder>(ring_capacity_);
-    it = rings_.emplace(key, std::move(entry)).first;
-  } else if (it->second.label.empty() && !label.empty()) {
-    it->second.label = std::string(label);
-  }
-  return *it->second.ring;
-}
-
-std::vector<SpanEvent> Tracer::snapshot(const void* owner,
-                                        std::uint64_t domain) const {
-  const FlightRecorder* ring = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = rings_.find(std::make_pair(owner, domain));
-    if (it == rings_.end()) return {};
-    ring = it->second.ring.get();
-  }
-  return ring->snapshot();
-}
-
-void Tracer::scrub(const void* owner, std::uint64_t domain) {
-  FlightRecorder* ring = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = rings_.find(std::make_pair(owner, domain));
-    if (it == rings_.end()) return;
-    ring = it->second.ring.get();
-    it->second.label.clear();
-  }
-  ring->clear();
-}
-
-std::vector<Tracer::RingRef> Tracer::rings() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RingRef> out;
-  out.reserve(rings_.size());
-  for (const auto& [key, entry] : rings_) {
-    RingRef ref;
-    ref.owner = key.first;
-    ref.domain = key.second;
-    ref.label = entry.label;
-    ref.ring = entry.ring.get();
-    out.push_back(std::move(ref));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Thread-local context
 

@@ -36,14 +36,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/ring_registry.h"
 #include "util/types.h"
 #include "util/wire.h"
 
@@ -276,42 +275,39 @@ class Tracer {
   /// The ring of (owner, domain), created on first use with `label` (the
   /// domain's name). The reference stays valid for the Tracer's lifetime.
   FlightRecorder& recorder(const void* owner, std::uint64_t domain,
-                           std::string_view label);
+                           std::string_view label) {
+    return rings_.find_or_create(owner, domain, label, [this] {
+      return std::make_unique<FlightRecorder>(ring_capacity_);
+    });
+  }
 
   /// Snapshot of one domain's ring; empty when the domain never recorded.
   std::vector<SpanEvent> snapshot(const void* owner,
-                                  std::uint64_t domain) const;
+                                  std::uint64_t domain) const {
+    return rings_.snapshot(owner, domain);
+  }
 
   /// Scrub one domain's ring (after snapshotting a corpse). The ring object
   /// survives — a relaunched incarnation under the same domain id would
   /// reuse it — but its contents and label-to-events association are gone.
-  void scrub(const void* owner, std::uint64_t domain);
+  void scrub(const void* owner, std::uint64_t domain) {
+    rings_.scrub(owner, domain);
+  }
 
   /// Every ring this tracer owns (label + recorder), for exporters.
-  struct RingRef {
-    const void* owner = nullptr;
-    std::uint64_t domain = 0;
-    std::string label;
-    const FlightRecorder* ring = nullptr;
-  };
-  std::vector<RingRef> rings() const;
+  using RingRef = util::RingRegistry<FlightRecorder>::Ref;
+  std::vector<RingRef> rings() const { return rings_.rings(); }
 
   std::uint64_t traces_started() const {
     return next_trace_.load(std::memory_order_relaxed) - 1;
   }
 
  private:
-  struct Entry {
-    std::string label;
-    std::unique_ptr<FlightRecorder> ring;
-  };
-
   std::size_t ring_capacity_;
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_trace_{1};
   std::atomic<std::uint32_t> next_span_{1};
-  mutable std::mutex mu_;  // guards rings_ (the map, not the ring contents)
-  std::map<std::pair<const void*, std::uint64_t>, Entry> rings_;
+  util::RingRegistry<FlightRecorder> rings_;
 };
 
 /// The calling thread's current trace context (zero context when none).

@@ -27,12 +27,9 @@
 //    substrate to defend the physical_bus attacker model.
 #pragma once
 
-#include <optional>
-
-#include "crypto/aes.h"
 #include "hw/iommu.h"
+#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "substrate/substrate.h"
 
 namespace lateral::trustzone {
 
@@ -46,7 +43,10 @@ struct TrustZoneOptions {
   bool software_memory_encryption = false;
 };
 
-class TrustZone final : public substrate::IsolationSubstrate {
+// Memory: DRAM frames; secure-world pages carry the TZASC tag (and, with
+// the software MEE, are encrypted). The secure world may touch the normal
+// world, never the reverse.
+class TrustZone final : public substrate::PagedSubstrate {
  public:
   TrustZone(hw::Machine& machine, substrate::SubstrateConfig config,
             TrustZoneOptions options = {});
@@ -59,12 +59,6 @@ class TrustZone final : public substrate::IsolationSubstrate {
 
   const substrate::SubstrateInfo& info() const override;
   const TrustZoneOptions& options() const { return options_; }
-
-  Result<Bytes> read_memory(substrate::DomainId actor,
-                            substrate::DomainId target, std::uint64_t offset,
-                            std::size_t len) override;
-  Status write_memory(substrate::DomainId actor, substrate::DomainId target,
-                      std::uint64_t offset, BytesView data) override;
 
   /// Attestation is a secure-world service: normal-world (legacy) domains
   /// cannot produce quotes.
@@ -81,13 +75,16 @@ class TrustZone final : public substrate::IsolationSubstrate {
   /// True when the domain runs in the secure world.
   Result<bool> is_secure_world(substrate::DomainId domain) const;
 
-  Result<std::vector<hw::PhysAddr>> domain_frames(
-      substrate::DomainId domain) const;
-
  protected:
   Status admit_domain(const substrate::DomainSpec& spec) const override;
   Status attach_memory(substrate::DomainId id, DomainRecord& record) override;
   void release_memory(substrate::DomainId id, DomainRecord& record) override;
+  hw::AccessContext domain_context(substrate::DomainId id,
+                                   const substrate::DomainSpec& spec)
+      const override;
+  Result<Spaces> check_access(substrate::DomainId actor,
+                              substrate::DomainId target) const override;
+  AccessCharge access_charge(const Space& actor, bool write) const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
   Cycles attest_cost() const override;
@@ -97,39 +94,12 @@ class TrustZone final : public substrate::IsolationSubstrate {
   Cycles region_map_cost(std::size_t pages) const override;
 
  private:
-  struct WorldSpace {
-    bool secure = false;
-    std::vector<hw::PhysAddr> frames;
-    // Populated only under software_memory_encryption, for secure spaces.
-    std::vector<std::uint64_t> page_versions;
-    std::vector<crypto::Digest> page_macs;
-  };
-
   /// TZASC page ownership tag for secure-world pages.
   static constexpr std::uint64_t kSecureTag = 0x5EC0'0001;
 
-  Result<const WorldSpace*> space_of(substrate::DomainId id) const;
-  Result<WorldSpace*> space_of(substrate::DomainId id);
-
-  Bytes sw_mee_crypt(hw::PhysAddr page_addr, std::uint64_t version,
-                     BytesView data) const;
-  crypto::Digest sw_mee_mac(hw::PhysAddr page_addr, std::uint64_t version,
-                            BytesView ciphertext) const;
-  Result<Bytes> read_page(const WorldSpace& space, std::size_t page,
-                          const hw::AccessContext& ctx) const;
-  Status write_page(WorldSpace& space, std::size_t page, BytesView content,
-                    const hw::AccessContext& ctx);
-  Result<Bytes> raw_domain_read(const WorldSpace& space, std::uint64_t offset,
-                                std::size_t len,
-                                const hw::AccessContext& ctx) const;
-
   substrate::SubstrateInfo info_;
   TrustZoneOptions options_;
-  hw::FrameAllocator frames_;
-  std::map<substrate::DomainId, WorldSpace> spaces_;
   std::size_t legacy_count_ = 0;
-  /// Keyed only with software_memory_encryption.
-  std::optional<crypto::EncMacKeys> sw_mee_;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

@@ -663,6 +663,57 @@ TEST_F(FleetTest, ReplyNeverCrossesIntoANewSession) {
   EXPECT_EQ(counters.in_flight(), 0u);
 }
 
+// A meter that forgets its ticket while one of its readings is still in
+// the backlog: the full handshake's last pump serves that reading on the
+// session connect() dropped, so its ack reaches the meter between msg2 and
+// the grant. The meter skips it instead of taking it for the grant.
+TEST_F(FleetTest, FullHandshakeSkipsAStaleAckFromTheDroppedSession) {
+  FleetServer server(server_config());
+  FleetClient meter0 = make_client("meter-0", server);
+  FleetClient meter1 = make_client("meter-1", server);
+  ASSERT_TRUE(meter0.connect().ok());
+  ASSERT_TRUE(meter1.connect().ok());
+
+  ASSERT_TRUE(meter0.submit("report", to_bytes("bucket-0")).ok());
+  ASSERT_TRUE(meter1.submit("report", to_bytes("bucket-1")).ok());
+  ASSERT_TRUE(server.pump(1).ok());  // serves meter-0 only
+  ASSERT_EQ(server.backlog(), 1u);
+
+  meter1.clear_ticket();
+  const Status connected = meter1.connect();
+  ASSERT_TRUE(connected.ok()) << errc_name(connected.error());
+  EXPECT_FALSE(meter1.resumed());
+  EXPECT_EQ(server.backlog(), 0u);
+  EXPECT_EQ(service_runs_, 2);
+
+  auto reply = meter1.call("report", to_bytes("bucket-2"));
+  ASSERT_TRUE(reply.ok()) << errc_name(reply.error());
+  EXPECT_EQ(to_string(*reply), "ack:bucket-2");
+  EXPECT_EQ(meter1.collect().error(), Errc::would_block);
+}
+
+// The resume variant: the old session's ack already waits, uncollected,
+// when the meter reconnects. The resumption skips it and still succeeds.
+TEST_F(FleetTest, ResumeSkipsAStaleAckAlreadyQueued) {
+  FleetServer server(server_config());
+  FleetClient meter = make_client("meter-1", server);
+  ASSERT_TRUE(meter.connect().ok());
+  ASSERT_TRUE(meter.submit("report", to_bytes("bucket-1")).ok());
+  ASSERT_TRUE(server.pump().ok());  // the ack is queued for the meter
+
+  const Status connected = meter.connect();
+  ASSERT_TRUE(connected.ok()) << errc_name(connected.error());
+  EXPECT_TRUE(meter.resumed());
+  EXPECT_EQ(meter.last_reject(), Errc::ok);
+  EXPECT_EQ(server.stats().handshakes_full, 1u);
+  EXPECT_EQ(server.stats().handshakes_resumed, 1u);
+
+  auto reply = meter.call("report", to_bytes("bucket-2"));
+  ASSERT_TRUE(reply.ok()) << errc_name(reply.error());
+  EXPECT_EQ(to_string(*reply), "ack:bucket-2");
+  EXPECT_EQ(meter.collect().error(), Errc::would_block);
+}
+
 // A datagram injected under a name nobody registered reaches the server
 // and is handled like any other: the resume it carries redeems (and so
 // burns) the ticket, is counted, and leaves audit evidence under the

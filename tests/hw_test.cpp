@@ -61,6 +61,28 @@ TEST(PhysicalMemory, AccessesSpanPagesAndUnwrittenPagesReadZero) {
   EXPECT_FALSE(mem.read(ctx, 8 * kPageSize - 4, 5, out).ok());
 }
 
+// A discarded page reads as zeros again through every path; its neighbours
+// keep their bytes, and a misaligned or out-of-range discard is refused.
+TEST(PhysicalMemory, DiscardedPagesReadZeroAgain) {
+  PhysicalMemory mem(4 * kPageSize);
+  const AccessContext ctx{};
+  const Bytes data = to_bytes("straddles a page boundary");
+  const PhysAddr at = 2 * kPageSize - 10;
+  ASSERT_TRUE(mem.write(ctx, at, data).ok());
+  ASSERT_TRUE(mem.discard(kPageSize, 1).ok());
+  Bytes out;
+  ASSERT_TRUE(mem.read(ctx, at, data.size(), out).ok());
+  Bytes expected(data.size(), 0);
+  std::copy(data.begin() + 10, data.end(), expected.begin() + 10);
+  EXPECT_EQ(out, expected);
+  ASSERT_TRUE(mem.raw_read(kPageSize, kPageSize, out).ok());
+  EXPECT_EQ(out, Bytes(kPageSize, 0));
+  EXPECT_TRUE(mem.discard(0, 4).ok());  // never-written pages too
+  EXPECT_EQ(mem.dump(at, data.size()), Bytes(data.size(), 0));
+  EXPECT_EQ(mem.discard(100, 1).error(), Errc::invalid_argument);
+  EXPECT_EQ(mem.discard(3 * kPageSize, 2).error(), Errc::invalid_argument);
+}
+
 TEST(PhysicalMemory, SecureOnlyRegionBlocksNonSecure) {
   PhysicalMemory mem(4 * kPageSize);
   ASSERT_TRUE(mem.add_region("sec", 0, kPageSize, {.secure_only = true}).ok());

@@ -554,6 +554,33 @@ TEST_P(ConformanceTest, KillLeavesDiagnosableCorpse) {
   EXPECT_EQ(substrate_->kill_domain(999).error(), Errc::no_such_domain);
 }
 
+// A released domain's bytes must not reach the next domain on its frames,
+// whether it was destroyed or killed. Offset 3000 lies past every image, so
+// only a scrub (not the next image load) can clear it.
+TEST_P(ConformanceTest, ReusedFramesReadAsZeros) {
+  const Bytes secret = to_bytes("SECRET-KEY");
+  const Bytes zeros(secret.size(), 0);
+  auto first = substrate_->create_domain(tc_spec("first"));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(substrate_->write_memory(*first, *first, 3000, secret).ok());
+  ASSERT_TRUE(substrate_->destroy_domain(*first).ok());
+
+  auto second = substrate_->create_domain(tc_spec("second"));
+  ASSERT_TRUE(second.ok());
+  auto read = substrate_->read_memory(*second, *second, 3000, secret.size());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, zeros) << "destroyed domain's bytes survived";
+  ASSERT_TRUE(substrate_->write_memory(*second, *second, 3000, secret).ok());
+  ASSERT_TRUE(substrate_->kill_domain(*second).ok());
+
+  auto third = substrate_->create_domain(tc_spec("third"));
+  ASSERT_TRUE(third.ok());
+  read = substrate_->read_memory(*third, *third, 3000, secret.size());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, zeros) << "killed domain's bytes survived";
+  EXPECT_TRUE(substrate_->destroy_domain(*second).ok());
+}
+
 TEST_P(ConformanceTest, EveryOperationOnCorpseFailsDomainDead) {
   auto [a, b] = make_pair();
   auto channel = substrate_->create_channel(a, b);
