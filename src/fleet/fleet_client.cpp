@@ -175,9 +175,8 @@ Result<Bytes> FleetClient::collect() {
   auto plain =
       channel_->open_record_in_place(std::span<std::uint8_t>(buffer).subspan(1));
   if (!plain) return plain.error();
-  buffer.erase(buffer.begin(), buffer.end() - static_cast<std::ptrdiff_t>(
-                                                  plain->size()));
-  return net::decode_rpc_reply(std::move(buffer));
+  const std::size_t head = buffer.size() - plain->size();
+  return net::decode_rpc_reply(std::move(buffer), head);
 }
 
 }  // namespace lateral::fleet

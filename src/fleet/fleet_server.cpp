@@ -42,6 +42,20 @@ FleetServer::FleetServer(FleetServerConfig config)
   self_ = *self;
   cq_ = make_completion_queue();
   in_flight_.resize(cq_->capacity());
+  // Built-in health-plane methods (FIG16), registered first: an
+  // application cannot shadow them. Both ride the established sealed
+  // session, so their consumer is as attested as any meter.
+  (void)inline_methods_.register_method(
+      "scrape", [this](BytesView) -> Result<Bytes> {
+        if (!config_.scrape_source) return Errc::not_supported;
+        fleet_->scrapes++;
+        // The scrape shows every counter update made so far.
+        flush_counters();
+        return to_bytes(config_.scrape_source());
+      });
+  (void)inline_methods_.register_method(
+      "audit_pull",
+      [this](BytesView payload) { return serve_audit_pull(payload); });
 }
 
 std::unique_ptr<runtime::CompletionQueue> FleetServer::make_completion_queue()
@@ -66,14 +80,9 @@ Cycles FleetServer::now() const {
 }
 
 Status FleetServer::register_method(const std::string& name,
-                                    net::RemoteDispatcher::Method handler) {
-  if (name.empty() || !handler || name == config_.batched_method ||
-      name == "scrape" || name == "audit_pull")  // built-ins (FIG16)
-    return Errc::invalid_argument;
-  const auto [it, inserted] = inline_methods_.emplace(name,
-                                                      std::move(handler));
-  (void)it;
-  return inserted ? Status::success() : Status(Errc::invalid_argument);
+                                    net::MethodTable::Method handler) {
+  if (name == config_.batched_method) return Errc::invalid_argument;
+  return inline_methods_.register_method(name, std::move(handler));
 }
 
 Status FleetServer::pump(std::size_t max_batched) {
@@ -291,32 +300,7 @@ void FleetServer::handle_record(const Peer& peer, Bytes& datagram) {
     return;
   }
 
-  // Built-in health-plane methods (FIG16), resolved before the inline
-  // table so applications cannot shadow them. Both ride the established
-  // sealed session: the scrape/audit consumer is exactly as attested as
-  // any meter submitting a record.
-  if (request->method == "scrape") {
-    if (!config_.scrape_source) {
-      send_reply(peer.id, s, Errc::not_supported, {});
-      return;
-    }
-    fleet_->scrapes++;
-    // The scrape shows every counter update made so far.
-    flush_counters();
-    send_reply(peer.id, s, Errc::ok, to_bytes(config_.scrape_source()));
-    return;
-  }
-  if (request->method == "audit_pull") {
-    send_reply(peer.id, s, serve_audit_pull(request->payload));
-    return;
-  }
-
-  const auto method = inline_methods_.find(request->method);
-  if (method == inline_methods_.end()) {
-    send_reply(peer.id, s, Errc::invalid_argument, {});
-    return;
-  }
-  send_reply(peer.id, s, method->second(request->payload));
+  send_reply(peer.id, s, inline_methods_.dispatch(*request));
 }
 
 Result<Bytes> FleetServer::serve_audit_pull(BytesView payload) {

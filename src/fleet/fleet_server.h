@@ -32,7 +32,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,11 +116,17 @@ CacheConfig cache_config(const core::FleetPolicy& policy,
 class FleetServer {
  public:
   explicit FleetServer(FleetServerConfig config);
+  /// The built-in methods point back at the server: it stays where it was
+  /// built.
+  FleetServer(const FleetServer&) = delete;
+  FleetServer& operator=(const FleetServer&) = delete;
 
   /// Register an inline (non-batched) method, dispatched synchronously on
-  /// the pump thread.
+  /// the pump thread. The batched method's name is refused, and so is a
+  /// name already served: the built-ins `scrape` and `audit_pull` are
+  /// registered first.
   Status register_method(const std::string& name,
-                         net::RemoteDispatcher::Method handler);
+                         net::MethodTable::Method handler);
 
   /// Drain the network endpoint and serve: progress handshakes and
   /// resumptions, admit/shed RPC records, push up to `max_batched` admitted
@@ -237,8 +242,8 @@ class FleetServer {
   /// are dense, so this is a vector, grown as new peers show up.
   std::vector<PeerSlot> peers_;
   std::size_t sessions_ = 0;  // slots with an established session
-  std::map<std::string, net::RemoteDispatcher::Method, std::less<>>
-      inline_methods_;
+  /// The inline methods, built-ins included.
+  net::MethodTable inline_methods_;
   std::deque<Arrival> backlog_;  // admitted, not yet submitted
   /// Submitted to cq_, reply not yet sent, indexed by id modulo its size,
   /// which is cq_->capacity(). Every doorbell is followed by a completion

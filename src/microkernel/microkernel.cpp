@@ -64,9 +64,9 @@ hw::Device Microkernel::make_device(const std::string& name) {
 
 Status Microkernel::grant_dma(DomainId driver, const hw::Device& device,
                               bool writable) {
-  const Space* space = find_space(driver);
-  if (!space) return Errc::no_such_domain;
-  for (const hw::PhysAddr frame : space->frames) {
+  const auto space = space_of(driver);
+  if (!space) return space.error();
+  for (const hw::PhysAddr frame : (*space)->frames) {
     if (const Status s = iommu_.map(device.id(), frame, 1, writable); !s.ok())
       return s;
   }
@@ -76,10 +76,10 @@ Status Microkernel::grant_dma(DomainId driver, const hw::Device& device,
 Status Microkernel::grant_memory(DomainId owner, DomainId grantee,
                                  std::size_t first_page, std::size_t pages,
                                  bool writable) {
-  const Space* space = find_space(owner);
-  if (!space || !find_space(grantee)) return Errc::no_such_domain;
+  const auto spaces = spaces_of(owner, grantee);
+  if (!spaces) return spaces.error();
   if (owner == grantee || pages == 0) return Errc::invalid_argument;
-  if (first_page + pages > space->frames.size())
+  if (first_page + pages > spaces->first->frames.size())
     return Errc::invalid_argument;
   machine_.advance(machine_.costs().syscall +
                    machine_.costs().page_table_update * pages);
@@ -115,8 +115,9 @@ const Microkernel::MemoryGrant* Microkernel::find_grant(
 Result<Bytes> Microkernel::read_granted(DomainId grantee, DomainId owner,
                                         std::uint64_t offset,
                                         std::size_t len) {
-  const Space* space = find_space(owner);
-  if (!find_space(grantee) || !space) return Errc::no_such_domain;
+  const auto spaces = spaces_of(grantee, owner);
+  if (!spaces) return spaces.error();
+  const Space* space = spaces->second;
   if (len == 0) return Bytes{};
   if (!in_bounds(*space, offset, len) ||
       !find_grant(grantee, owner, offset, len, /*write=*/false))
@@ -127,8 +128,9 @@ Result<Bytes> Microkernel::read_granted(DomainId grantee, DomainId owner,
 
 Status Microkernel::write_granted(DomainId grantee, DomainId owner,
                                   std::uint64_t offset, BytesView data) {
-  const Space* space = find_space(owner);
-  if (!find_space(grantee) || !space) return Errc::no_such_domain;
+  const auto spaces = spaces_of(grantee, owner);
+  if (!spaces) return spaces.error();
+  const Space* space = spaces->second;
   if (data.empty()) return Status::success();
   if (!in_bounds(*space, offset, data.size()) ||
       !find_grant(grantee, owner, offset, data.size(), /*write=*/true))

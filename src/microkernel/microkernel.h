@@ -55,6 +55,8 @@ class Microkernel final : public substrate::PagedSubstrate {
   Status revoke_memory(substrate::DomainId owner,
                        substrate::DomainId grantee);
   /// Granted access paths; access_denied without a covering grant.
+  /// These and grant_dma/grant_memory read a killed domain as domain_dead
+  /// and an unknown id as no_such_domain, as every other operation does.
   Result<Bytes> read_granted(substrate::DomainId grantee,
                              substrate::DomainId owner, std::uint64_t offset,
                              std::size_t len);

@@ -5,10 +5,18 @@ namespace {
 
 /// Receive the next datagram for `endpoint`, or io_error if the network
 /// dropped it (a MITM may do that; the handshake then simply fails).
-Result<Bytes> next_payload(SimNetwork& network, const std::string& endpoint) {
+Result<Bytes> next_payload(SimNetwork& network, EndpointId endpoint) {
   auto datagram = network.receive(endpoint);
   if (!datagram) return Errc::io_error;
-  return datagram->payload;
+  return std::move(datagram->payload);
+}
+
+/// Carry `message` from `from` to `to` and return it as `to` receives it.
+Result<Bytes> hop(SimNetwork& network, EndpointId from, EndpointId to,
+                  Bytes message) {
+  if (const Status s = network.send(from, to, std::move(message)); !s.ok())
+    return s.error();
+  return next_payload(network, to);
 }
 
 }  // namespace
@@ -16,10 +24,15 @@ Result<Bytes> next_payload(SimNetwork& network, const std::string& endpoint) {
 Result<std::unique_ptr<FederatedLink>> establish_link(
     SimNetwork& network, const std::string& initiator_endpoint,
     const std::string& responder_endpoint, const HandshakeConfig& config) {
+  const auto initiator = network.resolve(initiator_endpoint);
+  if (!initiator) return initiator.error();
+  const auto responder = network.resolve(responder_endpoint);
+  if (!responder) return responder.error();
+
   auto link = std::unique_ptr<FederatedLink>(new FederatedLink());
   link->network_ = &network;
-  link->initiator_endpoint_ = initiator_endpoint;
-  link->responder_endpoint_ = responder_endpoint;
+  link->initiator_id_ = *initiator;
+  link->responder_id_ = *responder;
 
   link->initiator_channel_ = std::make_unique<SecureChannelEndpoint>(
       Role::initiator, to_bytes("fed.i:" + initiator_endpoint),
@@ -31,29 +44,17 @@ Result<std::unique_ptr<FederatedLink>> establish_link(
   // The three-message handshake, across the (possibly hostile) network.
   auto msg1 = link->initiator_channel_->start();
   if (!msg1) return msg1.error();
-  if (const Status s = network.send(initiator_endpoint, responder_endpoint,
-                                    *msg1);
-      !s.ok())
-    return s.error();
-  auto msg1_rx = next_payload(network, responder_endpoint);
+  auto msg1_rx = hop(network, *initiator, *responder, std::move(*msg1));
   if (!msg1_rx) return msg1_rx.error();
 
   auto msg2 = link->responder_.channel->handle_msg1(*msg1_rx);
   if (!msg2) return msg2.error();
-  if (const Status s = network.send(responder_endpoint, initiator_endpoint,
-                                    *msg2);
-      !s.ok())
-    return s.error();
-  auto msg2_rx = next_payload(network, initiator_endpoint);
+  auto msg2_rx = hop(network, *responder, *initiator, std::move(*msg2));
   if (!msg2_rx) return msg2_rx.error();
 
   auto msg3 = link->initiator_channel_->handle_msg2(*msg2_rx);
   if (!msg3) return msg3.error();
-  if (const Status s = network.send(initiator_endpoint, responder_endpoint,
-                                    *msg3);
-      !s.ok())
-    return s.error();
-  auto msg3_rx = next_payload(network, responder_endpoint);
+  auto msg3_rx = hop(network, *initiator, *responder, std::move(*msg3));
   if (!msg3_rx) return msg3_rx.error();
   if (const Status s = link->responder_.channel->handle_msg3(*msg3_rx);
       !s.ok())
@@ -67,21 +68,14 @@ Result<std::unique_ptr<FederatedLink>> establish_link(
   link->proxy_ = std::make_unique<RemoteProxy>(
       *link->initiator_channel_,
       [raw](BytesView record) -> Result<Bytes> {
-        if (const Status s = raw->network_->send(raw->initiator_endpoint_,
-                                                 raw->responder_endpoint_,
-                                                 record);
-            !s.ok())
-          return s.error();
-        auto request = next_payload(*raw->network_, raw->responder_endpoint_);
+        SimNetwork& net = *raw->network_;
+        auto request = hop(net, raw->initiator_id_, raw->responder_id_,
+                           Bytes(record.begin(), record.end()));
         if (!request) return request.error();
         auto reply = raw->responder_.dispatcher->handle(*request);
         if (!reply) return reply.error();
-        if (const Status s = raw->network_->send(raw->responder_endpoint_,
-                                                 raw->initiator_endpoint_,
-                                                 *reply);
-            !s.ok())
-          return s.error();
-        return next_payload(*raw->network_, raw->initiator_endpoint_);
+        return hop(net, raw->responder_id_, raw->initiator_id_,
+                   std::move(*reply));
       });
   return link;
 }

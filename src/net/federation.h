@@ -54,15 +54,18 @@ class FederatedLink {
   FederatedLink() = default;
 
   SimNetwork* network_ = nullptr;
-  std::string initiator_endpoint_;
-  std::string responder_endpoint_;
+  /// Both endpoints, resolved once: every record moves by id.
+  EndpointId initiator_id_ = kNoEndpoint;
+  EndpointId responder_id_ = kNoEndpoint;
   std::unique_ptr<SecureChannelEndpoint> initiator_channel_;
   LinkSite responder_;
   std::unique_ptr<RemoteProxy> proxy_;
 };
 
-/// Run the three-message attested handshake between two (registered)
-/// network endpoints and return the established link.
+/// Run the three-message attested handshake between two registered
+/// network endpoints and return the established link. The names are
+/// resolved once, here; the handshake and every call move by id.
+/// Errc::invalid_argument for an unregistered endpoint,
 /// Errc::verification_failed when either side refuses the other.
 Result<std::unique_ptr<FederatedLink>> establish_link(
     SimNetwork& network, const std::string& initiator_endpoint,

@@ -33,12 +33,32 @@ Bytes encode_rpc_reply(Errc error, BytesView payload) {
   return out;
 }
 
-Result<Bytes> decode_rpc_reply(Bytes plain) {
-  if (plain.empty()) return Errc::invalid_argument;
-  const Errc remote_error = wire::errc8(plain[0]);
+Result<Bytes> decode_rpc_reply(Bytes plain, std::size_t head) {
+  if (plain.size() <= head) return Errc::invalid_argument;
+  const Errc remote_error = wire::errc8(plain[head]);
   if (remote_error != Errc::ok) return remote_error;
-  plain.erase(plain.begin());
+  plain.erase(plain.begin(),
+              plain.begin() + static_cast<std::ptrdiff_t>(head + 1));
   return plain;
+}
+
+Status MethodTable::register_method(const std::string& name,
+                                    Method handler) {
+  if (name.empty() || !handler) return Errc::invalid_argument;
+  const bool inserted = methods_.emplace(name, std::move(handler)).second;
+  return inserted ? Status::success() : Status(Errc::invalid_argument);
+}
+
+Result<Bytes> MethodTable::dispatch(BytesView plain) const {
+  auto request = decode_rpc_request(plain);
+  if (!request) return Errc::invalid_argument;
+  return dispatch(*request);
+}
+
+Result<Bytes> MethodTable::dispatch(const RpcRequest& request) const {
+  const auto it = methods_.find(request.method);
+  if (it == methods_.end()) return Errc::invalid_argument;
+  return it->second(request.payload);
 }
 
 RemoteDispatcher::RemoteDispatcher(SecureChannelEndpoint& channel)
@@ -47,33 +67,13 @@ RemoteDispatcher::RemoteDispatcher(SecureChannelEndpoint& channel)
     throw Error("RemoteDispatcher needs an established channel");
 }
 
-Status RemoteDispatcher::register_method(const std::string& name,
-                                         Method handler) {
-  if (name.empty() || !handler) return Errc::invalid_argument;
-  const auto [it, inserted] = methods_.emplace(name, std::move(handler));
-  (void)it;
-  return inserted ? Status::success() : Status(Errc::invalid_argument);
-}
-
 Result<Bytes> RemoteDispatcher::handle(BytesView request_record) {
   auto plain = channel_.open_record(request_record);
   if (!plain) return plain.error();  // unauthentic: do not even reply
-
-  auto request = decode_rpc_request(*plain);
-  Bytes reply_plain;
-  if (!request) {
-    reply_plain = encode_rpc_reply(Errc::invalid_argument, {});
-  } else {
-    const auto it = methods_.find(request->method);
-    if (it == methods_.end()) {
-      reply_plain = encode_rpc_reply(Errc::invalid_argument, {});
-    } else {
-      Result<Bytes> result = it->second(request->payload);
-      reply_plain = result ? encode_rpc_reply(Errc::ok, *result)
-                           : encode_rpc_reply(result.error(), {});
-    }
-  }
-  return channel_.seal_record(reply_plain);
+  const Result<Bytes> result = methods_.dispatch(*plain);
+  const std::uint8_t head = rpc_reply_head(result);
+  return channel_.seal_record_parts({}, BytesView(&head, 1),
+                                    rpc_reply_body(result));
 }
 
 RemoteProxy::RemoteProxy(SecureChannelEndpoint& channel, Transport transport)

@@ -28,9 +28,11 @@ namespace lateral::net {
 // --- RPC wire codec -------------------------------------------------------
 // Request: [u16 method_len | method | payload]
 // Reply:   [u8 errc | payload (on success)]
-// Shared between RemoteProxy/RemoteDispatcher and the fleet multiplexer,
-// which pipelines many sealed requests before reading any reply and so
-// cannot use the synchronous proxy.
+// Every RPC server decodes requests in one place, MethodTable::dispatch:
+// RemoteDispatcher, the async dispatcher (behind its [u32 id | 16 B ctx]
+// prefix) and the fleet server's inline methods. The fleet multiplexer
+// pipelines many sealed requests before reading any reply and so cannot
+// use the synchronous proxy, but it speaks this same codec.
 
 Bytes encode_rpc_request(std::string_view method, BytesView payload);
 
@@ -45,6 +47,13 @@ void append_rpc_request_head(Bytes& out, std::string_view method);
 inline std::uint8_t rpc_reply_head(Errc error) {
   return static_cast<std::uint8_t>(error);
 }
+/// The head byte and the bytes after it of the reply to `result`.
+inline std::uint8_t rpc_reply_head(const Result<Bytes>& result) {
+  return rpc_reply_head(result ? Errc::ok : result.error());
+}
+inline BytesView rpc_reply_body(const Result<Bytes>& result) {
+  return result ? BytesView(*result) : BytesView();
+}
 
 /// A decoded request: views into the plaintext it was decoded from.
 struct RpcRequest {
@@ -55,20 +64,46 @@ Result<RpcRequest> decode_rpc_request(BytesView plain);
 
 Bytes encode_rpc_reply(Errc error, BytesView payload);
 
-/// Unwrap a reply in place: the payload keeps the plaintext's buffer, and
-/// the remote error code travels back as the Result error (an error byte
-/// past the last Errc reads as invalid_argument).
-Result<Bytes> decode_rpc_reply(Bytes plain);
+/// Unwrap a reply that starts `head` bytes into `plain` (after a prefix
+/// the caller has read) in place: the payload keeps the plaintext's
+/// buffer, and the remote error code travels back as the Result error (no
+/// reply byte, or an error byte past the last Errc, reads as
+/// invalid_argument).
+Result<Bytes> decode_rpc_reply(Bytes plain, std::size_t head = 0);
+
+/// The one RPC method registry, and the one request -> result step behind
+/// every RPC server (RemoteDispatcher, runtime::AsyncRemoteDispatcher and
+/// fleet::FleetServer's inline methods).
+class MethodTable {
+ public:
+  using Method = std::function<Result<Bytes>(BytesView request)>;
+
+  /// invalid_argument for an empty name, a null handler or a name already
+  /// registered (first registration wins).
+  Status register_method(const std::string& name, Method handler);
+
+  /// Decode a request plaintext and run its method: invalid_argument for a
+  /// malformed request or an unknown method, else the handler's result
+  /// (a refusal included).
+  Result<Bytes> dispatch(BytesView plain) const;
+  /// The same, for a request already decoded.
+  Result<Bytes> dispatch(const RpcRequest& request) const;
+
+ private:
+  std::map<std::string, Method, std::less<>> methods_;
+};
 
 /// Server side: dispatches incoming records to registered methods.
 class RemoteDispatcher {
  public:
-  using Method = std::function<Result<Bytes>(BytesView request)>;
+  using Method = MethodTable::Method;
 
   /// `channel` must already be established; the dispatcher borrows it.
   explicit RemoteDispatcher(SecureChannelEndpoint& channel);
 
-  Status register_method(const std::string& name, Method handler);
+  Status register_method(const std::string& name, Method handler) {
+    return methods_.register_method(name, std::move(handler));
+  }
 
   /// Process one sealed request record and produce the sealed reply record.
   /// Errc::verification_failed when the request record fails channel
@@ -77,7 +112,7 @@ class RemoteDispatcher {
 
  private:
   SecureChannelEndpoint& channel_;
-  std::map<std::string, Method, std::less<>> methods_;
+  MethodTable methods_;
 };
 
 /// Client side: seals requests and opens replies.

@@ -3,95 +3,43 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/remote.h"
 #include "util/wire.h"
 
 namespace lateral::runtime {
-namespace {
-
-Bytes encode_request(RequestId id, const trace::TraceContext& ctx,
-                     const std::string& method, BytesView payload) {
-  Bytes out;
-  wire::ByteWriter w(out);
-  w.u32(id);
-  ctx.encode(out);
-  w.bytes(net::encode_rpc_request(method, payload));
-  return out;
-}
-
-/// A decoded request: the method and payload are views into the plaintext.
-struct DecodedRequest {
-  RequestId id = 0;
-  trace::TraceContext ctx;
-  net::RpcRequest rpc;
-};
-
-Result<DecodedRequest> decode_request(BytesView plain) {
-  wire::ByteReader r(plain);
-  auto id = r.u32();
-  if (!id) return id.error();
-  auto ctx = r.bytes(trace::kTraceContextWireBytes);
-  if (!ctx) return ctx.error();
-  auto rpc = net::decode_rpc_request(r.rest());
-  if (!rpc) return rpc.error();
-  return DecodedRequest{
-      .id = *id, .ctx = trace::TraceContext::decode(*ctx), .rpc = *rpc};
-}
-
-Bytes encode_reply(RequestId id, Errc error, BytesView payload) {
-  Bytes out;
-  wire::ByteWriter w(out);
-  w.u32(id);
-  w.bytes(net::encode_rpc_reply(error, payload));
-  return out;
-}
-
-}  // namespace
-
 AsyncRemoteDispatcher::AsyncRemoteDispatcher(net::SecureChannelEndpoint& channel)
     : channel_(channel) {
   if (!channel.established())
     throw Error("AsyncRemoteDispatcher needs an established channel");
 }
 
-Status AsyncRemoteDispatcher::register_method(const std::string& name,
-                                              Method handler) {
-  if (name.empty() || !handler) return Errc::invalid_argument;
-  const auto [it, inserted] = methods_.emplace(name, std::move(handler));
-  (void)it;
-  return inserted ? Status::success() : Status(Errc::invalid_argument);
-}
-
 Result<std::vector<Bytes>> AsyncRemoteDispatcher::handle_burst(
     const std::vector<Bytes>& request_records) {
   std::vector<Bytes> reply_records;
   reply_records.reserve(request_records.size());
+  Bytes head;
   for (const Bytes& record : request_records) {
     auto plain = channel_.open_record(record);
     if (!plain) return plain.error();  // unauthentic: do not even reply
 
-    Bytes reply_plain;
-    auto request = decode_request(*plain);
-    if (!request) {
-      // A malformed-but-authentic request still has a slot in the burst;
-      // answer it (salvaging the id when the prefix survived) so the
-      // client's matcher surfaces the problem instead of hanging.
-      const RequestId id = wire::ByteReader(*plain).u32().value_or(0);
-      reply_plain = encode_reply(id, Errc::invalid_argument, {});
-    } else {
-      const auto it = methods_.find(request->rpc.method);
-      if (it == methods_.end()) {
-        reply_plain = encode_reply(request->id, Errc::invalid_argument, {});
-      } else {
-        // Run the method under the client's trace context: substrate
-        // crossings it makes chain under the remote caller's span.
-        trace::TraceScope scope(request->ctx);
-        Result<Bytes> result = it->second(request->rpc.payload);
-        reply_plain = result ? encode_reply(request->id, Errc::ok, *result)
-                             : encode_reply(request->id, result.error(), {});
-      }
+    // A malformed-but-authentic request still has a slot in the burst;
+    // answer it (salvaging the id when the prefix survived) so the
+    // client's matcher surfaces the problem instead of hanging.
+    wire::ByteReader r(*plain);
+    const RequestId id = r.u32().value_or(0);
+    const auto ctx = r.bytes(trace::kTraceContextWireBytes);
+    Result<Bytes> result = Errc::invalid_argument;
+    if (ctx) {
+      // Run the method under the client's trace context: substrate
+      // crossings it makes chain under the remote caller's span.
+      trace::TraceScope scope(trace::TraceContext::decode(*ctx));
+      result = methods_.dispatch(r.rest());
     }
-    auto sealed = channel_.seal_record(reply_plain);
+    head.clear();
+    wire::ByteWriter w(head);
+    w.u32(id);
+    w.u8(net::rpc_reply_head(result));
+    auto sealed =
+        channel_.seal_record_parts({}, head, net::rpc_reply_body(result));
     if (!sealed) return sealed.error();
     reply_records.push_back(std::move(*sealed));
   }
@@ -159,14 +107,20 @@ Status AsyncRemoteProxy::cancel(RequestId id) {
 Status AsyncRemoteProxy::flush() {
   if (pending_.empty()) return Status::success();
 
-  // Seal in submission order. Sealing fails only on a channel that is not
-  // established — on the first record, before anything is committed — so
-  // a refusal here leaves the calls queued for a safe retry.
+  // Seal in submission order, each record from its two parts: the head
+  // [u32 id | 16 B ctx | u16 method_len | method] and the payload. Sealing
+  // fails only on a channel that is not established — on the first record,
+  // before anything is committed — so a refusal here leaves the calls
+  // queued for a safe retry.
   std::vector<Bytes> records;
   records.reserve(pending_.size());
+  Bytes head;
   for (const PendingCall& call : pending_) {
-    auto record = channel_.seal_record(
-        encode_request(call.id, call.ctx, call.method, call.payload));
+    head.clear();
+    wire::ByteWriter(head).u32(call.id);
+    call.ctx.encode(head);
+    net::append_rpc_request_head(head, call.method);
+    auto record = channel_.seal_record_parts({}, head, call.payload);
     if (!record) return record.error();
     records.push_back(std::move(*record));
   }
@@ -178,8 +132,9 @@ Status AsyncRemoteProxy::flush() {
   pending_.clear();
   const std::size_t burst = sent.size();
   auto reply_records = transport_(records);
-  counters_->record_batch(burst);
-  ++counters_->doorbells;
+  // This exchange's counter updates, published under one lock at the end.
+  InvocationCounters delta;
+  delta.record_batch(burst);
 
   // Ids the replies leave unanswered complete with `unanswered`: the
   // transport's error when the burst never came back, verification_failed
@@ -212,31 +167,30 @@ Status AsyncRemoteProxy::flush() {
     const auto index = static_cast<std::size_t>(call - sent.begin());
     if (call == sent.end() || call->id != *id || answered[index]) continue;
     answered[index] = true;
-    const BytesView rest = r.rest();
-    auto reply = net::decode_rpc_reply(Bytes(rest.begin(), rest.end()));
+    // The reply follows the id; its payload keeps the plaintext's buffer.
+    auto reply = net::decode_rpc_reply(std::move(*plain), sizeof(RequestId));
     CqEvent event{*id, reply.error(), {}, 0};
     if (reply) event.payload = std::move(*reply);
     if (config_.clock) {
       event.cycles = now - call->submitted_at;
       if (event.cycles > 0) {
         window.record_latency(event.cycles);
-        counters_->record_latency(event.cycles);
+        delta.record_latency(event.cycles);
       }
     }
-    ++counters_->completed;
+    ++delta.completed;
     completions_.emplace(*id, std::move(event));
   }
   for (std::size_t i = 0; i < burst; ++i) {
     if (answered[i]) continue;
-    ++counters_->completed;
+    ++delta.completed;
     completions_.emplace(sent[i].id, CqEvent{sent[i].id, unanswered, {}, 0});
   }
-  if (!reply_records) return Status::success();
-  controller_.observe(burst, window.latency_percentile(0.50),
-                      window.latency_percentile(0.99));
-  counters_->adaptive_depth = controller_.depth();
-  counters_->adaptive_grows = controller_.grows();
-  counters_->adaptive_shrinks = controller_.shrinks();
+  // A burst that never came back feeds the controller nothing.
+  if (reply_records)
+    controller_.observe(burst, window.latency_percentile(0.50),
+                        window.latency_percentile(0.99));
+  publish_doorbell(counters_, delta, reply_records ? &controller_ : nullptr);
   return Status::success();
 }
 

@@ -19,8 +19,12 @@
 //
 // Wire formats (inside AEAD records): the synchronous RPC codec
 // (net/remote.h) behind the async prefix —
-//   request: [u32 request_id | 16B trace ctx] ++ net::encode_rpc_request
-//   reply:   [u32 request_id] ++ net::encode_rpc_reply
+//   request: [u32 request_id | 16B trace ctx | u16 method_len | method |
+//             payload]
+//   reply:   [u32 request_id | u8 errc | payload (on success)]
+// Both sides seal a record from two parts (the head, then the payload)
+// into one buffer, and the dispatcher runs the same net::MethodTable step
+// as the synchronous one behind the prefix.
 //
 // The 16-byte TraceContext travels inside the authenticated plaintext —
 // a remote trace id is integrity-protected exactly like the request id —
@@ -34,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "net/remote.h"
 #include "net/secure_channel.h"
 #include "runtime/completion_queue.h"
 #include "runtime/metrics.h"
@@ -49,11 +54,13 @@ using RequestId = std::uint32_t;
 /// registered method, and seals one reply record per request.
 class AsyncRemoteDispatcher {
  public:
-  using Method = std::function<Result<Bytes>(BytesView request)>;
+  using Method = net::MethodTable::Method;
 
   explicit AsyncRemoteDispatcher(net::SecureChannelEndpoint& channel);
 
-  Status register_method(const std::string& name, Method handler);
+  Status register_method(const std::string& name, Method handler) {
+    return methods_.register_method(name, std::move(handler));
+  }
 
   /// Process one pipelined burst. A record that fails channel
   /// authentication fails the whole burst with verification_failed (the
@@ -65,7 +72,7 @@ class AsyncRemoteDispatcher {
 
  private:
   net::SecureChannelEndpoint& channel_;
-  std::map<std::string, Method, std::less<>> methods_;
+  net::MethodTable methods_;
 };
 
 struct AsyncProxyConfig {

@@ -269,6 +269,18 @@ void CompletionQueue::cross(std::vector<Pending>& batch,
                    after - batch[i].submitted_at);
 }
 
+void publish_doorbell(const MetricsHub::CounterRef& counters,
+                      const InvocationCounters& delta,
+                      const AdaptiveBatchController* controller) {
+  const auto locked = counters.operator->();
+  locked->add(delta);
+  ++locked->doorbells;
+  if (!controller) return;
+  locked->adaptive_depth = controller->depth();
+  locked->adaptive_grows = controller->grows();
+  locked->adaptive_shrinks = controller->shrinks();
+}
+
 Status CompletionQueue::doorbell() {
   const std::size_t occupancy = ring_.size();
   if (occupancy == 0) return Status::success();
@@ -295,13 +307,7 @@ Status CompletionQueue::doorbell() {
     if (it->cycles > 0) window.record_latency(it->cycles);
   controller_.observe(occupancy, window.latency_percentile(0.50),
                       window.latency_percentile(0.99));
-  // The doorbell's one counter lock: the flush's updates and its own.
-  auto locked = counters_.operator->();
-  locked->add(delta);
-  ++locked->doorbells;
-  locked->adaptive_depth = controller_.depth();
-  locked->adaptive_grows = controller_.grows();
-  locked->adaptive_shrinks = controller_.shrinks();
+  publish_doorbell(counters_, delta, &controller_);
   return Status::success();
 }
 

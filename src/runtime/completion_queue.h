@@ -128,6 +128,15 @@ class AdaptiveBatchController {
   std::uint64_t shrinks_ = 0;
 };
 
+/// Apply one doorbell's counter updates in one locked statement: the
+/// window's `delta`, the doorbell itself and the gauges of the controller
+/// the window fed (nullptr when the crossing failed and fed none: the
+/// gauges keep their last published values). CompletionQueue::doorbell and
+/// AsyncRemoteProxy::flush both publish through this.
+void publish_doorbell(const MetricsHub::CounterRef& counters,
+                      const InvocationCounters& delta,
+                      const AdaptiveBatchController* controller);
+
 struct CompletionQueueConfig {
   /// Submission ring depth; raised to at least adaptive.max_batch so the
   /// controller's deepest batch always fits, and rounded up to a power of

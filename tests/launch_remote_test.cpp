@@ -244,6 +244,40 @@ TEST_F(FederationTest, EstablishAndCallAcrossMachines) {
   EXPECT_EQ(to_string(*reply), "accepted:3.2kWh");
 }
 
+// The link resolves both endpoint names once, in establish_link: every
+// call then moves its records by id and looks no name up.
+TEST_F(FederationTest, CallsResolveNoEndpointName) {
+  auto link = net::establish_link(
+      network_, "meter", "utility",
+      {.initiator_verifier = net::VerifierConfig{verifier_.get(), "anonymizer"},
+       .responder_prover = net::ProverConfig{sgx_.get(), anonymizer_}});
+  ASSERT_TRUE(link.ok());
+  ASSERT_TRUE((*link)
+                  ->responder_dispatcher()
+                  .register_method("echo",
+                                   [](BytesView request) -> Result<Bytes> {
+                                     return Bytes(request.begin(),
+                                                  request.end());
+                                   })
+                  .ok());
+
+  const net::NetStats before = network_.stats();
+  for (int i = 0; i < 4; ++i) {
+    const std::string reading = "r" + std::to_string(i);
+    auto reply = (*link)->proxy().call("echo", to_bytes(reading));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(to_string(*reply), reading);
+  }
+  EXPECT_EQ(network_.stats().name_resolutions, before.name_resolutions);
+  EXPECT_EQ(network_.stats().messages, before.messages + 8);
+}
+
+TEST_F(FederationTest, UnregisteredEndpointIsRefused) {
+  EXPECT_EQ(net::establish_link(network_, "meter", "nobody", {}).error(),
+            Errc::invalid_argument);
+  EXPECT_EQ(network_.stats().messages, 0u);
+}
+
 TEST_F(FederationTest, RefusesUnattestedResponder) {
   // Responder cannot prove the expected code identity: no link.
   auto link = net::establish_link(

@@ -201,10 +201,10 @@ INSTANTIATE_TEST_SUITE_P(
                "access_denied access_denied access_denied access_denied "
                "access_denied ok ok ok access_denied ok access_denied "
                "no_such_domain ok ok ok ok ok ok domain_dead domain_dead "
-               "domain_dead domain_dead no_such_domain no_such_domain "
-               "no_such_domain ok no_such_domain access_denied ok "
+               "domain_dead domain_dead domain_dead domain_dead "
+               "domain_dead ok no_such_domain access_denied ok "
                "domain_dead ok no_such_domain",
-               "1ce6cb9449c48d4d044e643f1102140c12d9b7bc54ca7013d9544a603403e7b6"},
+               "ffb3324103483758e185968ce55d782f3726e0f530c9e2cce208b2dff1785ba0"},
         Golden{"trustzone",
                "ok ok ok ok ok ok ok ok access_denied access_denied "
                "no_such_domain no_such_domain no_such_domain no_such_domain "

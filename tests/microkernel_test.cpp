@@ -204,6 +204,48 @@ TEST_F(MicrokernelTest, GrantsDieWithEitherDomain) {
             Errc::access_denied);
 }
 
+// A killed domain is a corpse: the grant calls read it as domain_dead, as
+// read_memory/write_memory and every other operation do, and keep
+// no_such_domain for an id that never existed.
+TEST_F(MicrokernelTest, GrantCallsReportACorpseAsDead) {
+  auto a = kernel_->create_domain(tc_spec("a", 2));
+  auto b = kernel_->create_domain(tc_spec("b", 2));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(kernel_->grant_memory(*a, *b, 0, 1, true).ok());
+  hw::Device nic = kernel_->make_device("nic");
+  ASSERT_TRUE(kernel_->kill_domain(*b).ok());
+  constexpr DomainId kGhost = 999;
+
+  EXPECT_EQ(kernel_->grant_dma(*b, nic, false).error(), Errc::domain_dead);
+  EXPECT_EQ(kernel_->grant_dma(kGhost, nic, false).error(),
+            Errc::no_such_domain);
+
+  EXPECT_EQ(kernel_->grant_memory(*a, *b, 0, 1, false).error(),
+            Errc::domain_dead);
+  EXPECT_EQ(kernel_->grant_memory(*b, *a, 0, 1, false).error(),
+            Errc::domain_dead);
+  EXPECT_EQ(kernel_->grant_memory(*a, kGhost, 0, 1, false).error(),
+            Errc::no_such_domain);
+
+  EXPECT_EQ(kernel_->read_granted(*b, *a, 0, 4).error(), Errc::domain_dead);
+  EXPECT_EQ(kernel_->read_granted(*a, *b, 0, 4).error(), Errc::domain_dead);
+  EXPECT_EQ(kernel_->read_granted(kGhost, *a, 0, 4).error(),
+            Errc::no_such_domain);
+
+  EXPECT_EQ(kernel_->write_granted(*b, *a, 0, to_bytes("x")).error(),
+            Errc::domain_dead);
+  EXPECT_EQ(kernel_->write_granted(*a, *b, 0, to_bytes("x")).error(),
+            Errc::domain_dead);
+  EXPECT_EQ(kernel_->write_granted(kGhost, *a, 0, to_bytes("x")).error(),
+            Errc::no_such_domain);
+
+  // Once reaped, the id is gone: no_such_domain again.
+  ASSERT_TRUE(kernel_->destroy_domain(*b).ok());
+  EXPECT_EQ(kernel_->read_granted(*b, *a, 0, 4).error(),
+            Errc::no_such_domain);
+}
+
 TEST(Scheduler, SharesRespectedUnderFullDemand) {
   Scheduler sched(SchedulingPolicy::fixed_partition);
   ASSERT_TRUE(sched.add_domain(1, 500).ok());

@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <thread>
+#include <utility>
 
 #include "net/remote.h"
 #include "net/secure_channel.h"
@@ -1252,6 +1255,84 @@ TEST_F(AsyncRemoteTest, AdaptiveAutoFlushRingsAtDepthTarget) {
   // The saturated no-latency window grew the target (cold start).
   EXPECT_EQ(proxy.batch_depth(), 4u);
   EXPECT_EQ(proxy.metrics().doorbells, 1u);
+}
+
+// Every counter a flush touches, after a scenario that runs each of its
+// endings: a burst whose replies come back late (the transport's error; no
+// controller feed), clocked bursts that feed the adaptive controller, a
+// cancellation, and a reply that fails authentication. Recorded before the
+// flush gathered its updates in one delta; the values must not move.
+TEST_F(AsyncRemoteTest, CountersOfEveryFlushEndingMatchRecording) {
+  auto machine = test::make_machine("async-counters");
+  bool late = false;
+  bool garble = false;
+  std::vector<Bytes> held;  // replies not yet delivered, oldest first
+  AsyncProxyConfig config;
+  config.clock = machine.get();
+  config.adaptive.min_batch = 2;
+  config.adaptive.max_batch = 8;
+  config.adaptive.adaptive = true;
+  AsyncRemoteProxy proxy(
+      *client_,
+      [&](const std::vector<Bytes>& records) -> Result<std::vector<Bytes>> {
+        auto replies = dispatcher_->handle_burst(records);
+        if (!replies) return replies.error();
+        if (garble) replies->front().back() ^= 0x01;
+        held.insert(held.end(), replies->begin(), replies->end());
+        if (late) return Errc::io_error;  // they ride the next burst
+        return std::exchange(held, {});
+      },
+      config);
+  const auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const char* method = i == 2 ? "refuse" : "echo";
+      ASSERT_TRUE(proxy.submit(method, to_bytes("x")).ok());
+      machine->advance(300 + 700 * static_cast<Cycles>(i));
+    }
+    ASSERT_TRUE(proxy.flush().ok());
+  };
+
+  late = true;  // auto-flush at the first target, 2
+  ASSERT_TRUE(proxy.submit("echo", to_bytes("a")).ok());
+  ASSERT_TRUE(proxy.submit("echo", to_bytes("b")).ok());
+  // The controller was not fed, so no gauge has been published yet.
+  const std::uint64_t gauge_after_loss = proxy.metrics().adaptive_depth;
+  late = false;
+  for (int round = 0; round < 4; ++round) burst(round < 2 ? 3 : 7);
+  const RequestId withdrawn = *proxy.submit("echo", to_bytes("c"));
+  ASSERT_TRUE(proxy.cancel(withdrawn).ok());
+  late = true;
+  burst(1);
+  late = false;
+  garble = true;
+  burst(2);
+
+  std::map<Errc, int> outcomes;
+  for (const CqEvent& event : proxy.reap()) ++outcomes[event.status];
+  std::ostringstream seen;
+  seen << "gauge_after_loss=" << gauge_after_loss << ' ';
+  for (const auto& [errc, n] : outcomes)
+    seen << errc_name(errc) << '=' << n << ' ';
+  const InvocationCounters m = proxy.metrics();
+  for (const auto& [name, value] : m.fields())
+    seen << name << '=' << value << ' ';
+  seen << "grows=" << m.adaptive_grows << " shrinks=" << m.adaptive_shrinks
+       << " latency=" << m.latency_count << '/' << m.latency_total_cycles
+       << " batch_hist=";
+  for (const std::uint64_t n : m.batch_size_histogram) seen << n << ',';
+  seen << " latency_hist=";
+  for (const std::uint64_t n : m.latency_histogram) seen << n << ',';
+  seen << " depth=" << proxy.batch_depth();
+  EXPECT_EQ(seen.str(),
+            "gauge_after_loss=0 ok=16 access_denied=4 verification_failed=2 "
+            "io_error=3 cancelled=1 submitted=26 completed=25 rejected=0 "
+            "cancelled=1 timed_out=0 in_flight=0 batches=13 "
+            "queue_depth_hwm=4 doorbells=13 adaptive_depth=4 "
+            "crossing_cycles=0 cycles_saved=0 zero_copy_bytes=0 "
+            "mean_latency_cycles=3228 p99_latency_cycles=8191 grows=5 "
+            "shrinks=4 latency=14/45200 batch_hist=5,6,2,0,0,0,0,0,0,0,0,0, "
+            "latency_hist=0,0,0,0,0,0,0,0,4,0,2,2,6,0,0,0,0,0,0,0,0,0,0,0,0,"
+            "0,0,0,0,0,0,0, depth=4");
 }
 
 TEST_F(AsyncRemoteTest, WaitFlushesImplicitly) {
