@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -27,6 +29,27 @@ std::optional<std::uint64_t> parse_u64(const std::string& word) {
   const auto [ptr, ec] =
       std::from_chars(word.data(), word.data() + word.size(), value);
   if (ec != std::errc() || ptr != word.data() + word.size())
+    return std::nullopt;
+  return value;
+}
+
+// As parse_u64, for a 32-bit field: a value that does not fit is refused
+// rather than narrowed.
+std::optional<std::uint32_t> parse_u32(const std::string& word) {
+  const auto value = parse_u64(word);
+  if (!value || *value > std::numeric_limits<std::uint32_t>::max())
+    return std::nullopt;
+  return static_cast<std::uint32_t>(*value);
+}
+
+// A full-token finite decimal: trailing characters, overflow, inf and nan
+// are refused, never thrown.
+std::optional<double> parse_finite(const std::string& word) {
+  double value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(word.data(), word.data() + word.size(), value);
+  if (ec != std::errc() || ptr != word.data() + word.size() ||
+      !std::isfinite(value))
     return std::nullopt;
   return value;
 }
@@ -79,9 +102,9 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
         in_restart = false;
       } else if (key == "max") {
         if (tokens.size() != 2) return Errc::invalid_argument;
-        const auto max = parse_u64(tokens[1]);
+        const auto max = parse_u32(tokens[1]);
         if (!max) return Errc::invalid_argument;
-        policy.max_restarts = static_cast<std::uint32_t>(*max);
+        policy.max_restarts = *max;
       } else if (key == "backoff") {
         if (tokens.size() != 2) return Errc::invalid_argument;
         const auto backoff = parse_u64(tokens[1]);
@@ -161,14 +184,14 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
         policy.key = tokens[1];
       } else if (key == "slots") {
         if (tokens.size() != 2) return Errc::invalid_argument;
-        const auto slots = parse_u64(tokens[1]);
+        const auto slots = parse_u32(tokens[1]);
         if (!slots) return Errc::invalid_argument;
-        policy.slots = static_cast<std::uint32_t>(*slots);
+        policy.slots = *slots;
       } else if (key == "probation") {
         if (tokens.size() != 2) return Errc::invalid_argument;
-        const auto ticks = parse_u64(tokens[1]);
+        const auto ticks = parse_u32(tokens[1]);
         if (!ticks) return Errc::invalid_argument;
-        policy.probation_ticks = static_cast<std::uint32_t>(*ticks);
+        policy.probation_ticks = *ticks;
       } else {
         return Errc::invalid_argument;  // unknown update directive
       }
@@ -188,9 +211,9 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
         policy.p99_cycles = *p99;
       } else if (key == "error_rate") {
         if (tokens.size() != 2) return Errc::invalid_argument;
-        const auto permille = parse_u64(tokens[1]);
+        const auto permille = parse_u32(tokens[1]);
         if (!permille || *permille > 1000) return Errc::invalid_argument;
-        policy.error_permille = static_cast<std::uint32_t>(*permille);
+        policy.error_permille = *permille;
       } else if (key == "window") {
         if (tokens.size() != 2) return Errc::invalid_argument;
         const auto window = parse_u64(tokens[1]);
@@ -198,9 +221,9 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
         policy.window_cycles = *window;
       } else if (key == "burn_windows") {
         if (tokens.size() != 2) return Errc::invalid_argument;
-        const auto burn = parse_u64(tokens[1]);
+        const auto burn = parse_u32(tokens[1]);
         if (!burn) return Errc::invalid_argument;
-        policy.burn_windows = static_cast<std::uint32_t>(*burn);
+        policy.burn_windows = *burn;
       } else if (key == "restart") {
         if (tokens.size() != 1) return Errc::invalid_argument;
         policy.restart = true;
@@ -247,9 +270,9 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
       current->memory_pages = static_cast<std::size_t>(*pages);
     } else if (key == "share") {
       if (!need_arg()) return Errc::invalid_argument;
-      const auto share = parse_u64(tokens[1]);
+      const auto share = parse_u32(tokens[1]);
       if (!share) return Errc::invalid_argument;
-      current->time_share_permille = static_cast<std::uint32_t>(*share);
+      current->time_share_permille = *share;
     } else if (key == "shard") {
       if (!need_arg()) return Errc::invalid_argument;
       const auto shards = parse_u64(tokens[1]);
@@ -293,7 +316,9 @@ Result<std::vector<Manifest>> parse_manifests(std::string_view text,
       current->needs_attestation = true;
     } else if (key == "assets") {
       if (!need_arg()) return Errc::invalid_argument;
-      current->asset_value = std::stod(tokens[1]);
+      const auto assets = parse_finite(tokens[1]);
+      if (!assets) return Errc::invalid_argument;
+      current->asset_value = *assets;
     } else if (key == "loc") {
       if (!need_arg()) return Errc::invalid_argument;
       const auto loc = parse_u64(tokens[1]);

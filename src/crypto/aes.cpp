@@ -124,6 +124,22 @@ void aes128_portable(const std::uint8_t round_keys[176],
   std::memcpy(block, s, 16);
 }
 
+void aes128_ctr_portable(const std::uint8_t round_keys[176],
+                         std::uint64_t nonce, const std::uint8_t* in,
+                         std::uint8_t* out, std::size_t len) {
+  for (std::uint64_t counter = 0; len > 0; ++counter) {
+    std::uint8_t keystream[16];
+    wire::store_be64(keystream, nonce);
+    wire::store_be64(keystream + 8, counter);
+    aes128_portable(round_keys, keystream);
+    const std::size_t n = std::min<std::size_t>(16, len);
+    for (std::size_t i = 0; i < n; ++i) out[i] = in[i] ^ keystream[i];
+    in += n;
+    out += n;
+    len -= n;
+  }
+}
+
 #ifdef LATERAL_X86_CRYPTO_KERNELS
 
 bool cpu_has_aes_ni() {
@@ -147,11 +163,104 @@ __attribute__((target("aes"))) void aes128_aesni(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(block), s);
 }
 
+namespace {
+
+/// `N` keystream blocks for counters first..first+N-1: every block goes
+/// through each round before the next round starts, so N aesenc are in
+/// flight at once.
+template <int N>
+__attribute__((target("aes"), always_inline)) inline void ctr_keystream(
+    const __m128i key[11], std::uint64_t nonce_be, std::uint64_t first,
+    __m128i ks[N]) {
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i)
+    ks[i] = _mm_xor_si128(
+        _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(first + i)),
+                       static_cast<long long>(nonce_be)),
+        key[0]);
+#pragma GCC unroll 9
+  for (int round = 1; round < 10; ++round)
+#pragma GCC unroll 8
+    for (int i = 0; i < N; ++i) ks[i] = _mm_aesenc_si128(ks[i], key[round]);
+#pragma GCC unroll 8
+  for (int i = 0; i < N; ++i) ks[i] = _mm_aesenclast_si128(ks[i], key[10]);
+}
+
+__attribute__((target("aes"), always_inline)) inline void xor_block(
+    const std::uint8_t* in, std::uint8_t* out, __m128i ks) {
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(out),
+      _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+                    ks));
+}
+
+/// The keystream of counters first..first+N-1 over the next `len` bytes,
+/// len <= 16N; a last partial block goes through a stack copy.
+template <int N>
+__attribute__((target("aes"), always_inline)) inline void ctr_blocks(
+    const __m128i key[11], std::uint64_t nonce_be, std::uint64_t first,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t len) {
+  __m128i ks[N];
+  ctr_keystream<N>(key, nonce_be, first, ks);
+#pragma GCC unroll 8
+  for (int i = 0; i < N && len > 0; ++i, in += 16, out += 16) {
+    if (len < 16) {
+      alignas(16) std::uint8_t last[16];
+      std::memcpy(last, in, len);
+      xor_block(last, last, ks[i]);
+      std::memcpy(out, last, len);
+      return;
+    }
+    xor_block(in, out, ks[i]);
+    len -= 16;
+  }
+}
+
+}  // namespace
+
+// The schedule is loaded once into registers. Whole 128-byte runs take
+// eight counter blocks at a time; the rest, at most 127 bytes, one group of
+// the smallest width that covers it (so a 24-byte record computes two
+// blocks, not eight).
+__attribute__((target("aes"))) void aes128_ctr_aesni(
+    const std::uint8_t round_keys[176], std::uint64_t nonce,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t len) {
+  __m128i key[11];
+#pragma GCC unroll 11
+  for (int round = 0; round < 11; ++round)
+    key[round] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_keys + 16 * round));
+  // The counter block's first 8 bytes, big-endian, as its low lane.
+  const std::uint64_t nonce_be = __builtin_bswap64(nonce);
+  std::uint64_t counter = 0;
+  for (; len >= 128; len -= 128, in += 128, out += 128, counter += 8)
+    ctr_blocks<8>(key, nonce_be, counter, in, out, 128);
+  if (len > 64)
+    ctr_blocks<8>(key, nonce_be, counter, in, out, len);
+  else if (len > 32)
+    ctr_blocks<4>(key, nonce_be, counter, in, out, len);
+  else if (len > 16)
+    ctr_blocks<2>(key, nonce_be, counter, in, out, len);
+  else if (len > 0)
+    ctr_blocks<1>(key, nonce_be, counter, in, out, len);
+}
+
 #endif  // LATERAL_X86_CRYPTO_KERNELS
 
 }  // namespace kernels
 
 namespace {
+
+kernels::Aes128CtrKernel aes128_ctr_kernel() {
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+  static const kernels::Aes128CtrKernel kernel =
+      kernels::cpu_has_aes_ni() ? kernels::aes128_ctr_aesni
+                                : kernels::aes128_ctr_portable;
+  return kernel;
+#else
+  return kernels::aes128_ctr_portable;
+#endif
+}
 
 kernels::Aes128Kernel aes128_kernel() {
 #ifdef LATERAL_X86_CRYPTO_KERNELS
@@ -176,19 +285,8 @@ void Aes128::encrypt_block(AesBlock& block) const {
 
 void aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView in,
                 std::uint8_t* out) {
-  AesBlock counter_block{};
-  wire::store_be64(counter_block.data(), nonce);
-
-  std::uint64_t counter = 0;
-  for (std::size_t offset = 0; offset < in.size(); offset += 16) {
-    AesBlock keystream = counter_block;
-    wire::store_be64(keystream.data() + 8, counter);
-    cipher.encrypt_block(keystream);
-    const std::size_t n = std::min<std::size_t>(16, in.size() - offset);
-    for (std::size_t i = 0; i < n; ++i)
-      out[offset + i] = in[offset + i] ^ keystream[i];
-    ++counter;
-  }
+  aes128_ctr_kernel()(cipher.round_keys_.data(), nonce, in.data(), out,
+                      in.size());
 }
 
 Bytes aes128_ctr(const Aes128& cipher, std::uint64_t nonce, BytesView data) {
@@ -210,16 +308,13 @@ Aead::Aead(BytesView key_material)
 
 AeadTag Aead::compute_tag(std::uint64_t nonce, BytesView aad,
                           BytesView ciphertext) const {
-  Hmac mac = keys_.mac;
   // nonce || len(aad), both 64-bit big-endian: the length prefix makes the
   // (aad, ct) boundary unambiguous.
   std::uint8_t header[16];
   wire::store_be64(header, nonce);
   wire::store_be64(header + 8, aad.size());
-  mac.update(BytesView(header, sizeof header));
-  mac.update(aad);
-  mac.update(ciphertext);
-  const Digest full = mac.finish();
+  const Digest full =
+      keys_.mac.mac({BytesView(header, sizeof header), aad, ciphertext});
   AeadTag tag;
   std::memcpy(tag.data(), full.data(), tag.size());
   return tag;

@@ -2,9 +2,10 @@
 // authenticated encryption construction (AES-128-CTR + HMAC-SHA256).
 //
 // This is the memory-encryption engine of the simulated SGX/SEP substrates
-// and the record protection of net::SecureChannel and vpfs. Blocks are
-// encrypted with AES-NI when the CPU has it, else with the portable
-// reference (crypto/kernels.h); the ciphertext is the same either way.
+// and the record protection of net::SecureChannel and vpfs. Blocks and CTR
+// streams are encrypted with AES-NI when the CPU has it, else with the
+// portable reference (crypto/kernels.h); the ciphertext is the same either
+// way.
 #pragma once
 
 #include <array>
@@ -28,6 +29,9 @@ class Aes128 {
   void encrypt_block(AesBlock& block) const;
 
  private:
+  friend void aes128_ctr(const Aes128& cipher, std::uint64_t nonce,
+                         BytesView in, std::uint8_t* out);
+
   /// The expanded key in FIPS 197 byte order, read by both kernels.
   alignas(16) std::array<std::uint8_t, 176> round_keys_;
 };
@@ -47,7 +51,8 @@ Bytes aes128_ctr(const Aes128Key& key, std::uint64_t nonce, BytesView data);
 
 /// A fixed encrypt-then-MAC key pair, keyed once: the AES-128 schedule of
 /// the first 16 bytes of `keys` and an HMAC-SHA256 keyed with the other 32.
-/// Holders copy `mac` per message instead of re-keying.
+/// Holders authenticate each message with `mac.mac(parts)`, never
+/// re-keying.
 struct EncMacKeys {
   /// `keys` must be 48 bytes (the usual `hkdf(..., "enc+mac", 48)`).
   explicit EncMacKeys(BytesView keys);

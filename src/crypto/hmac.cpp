@@ -1,8 +1,11 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/kernels.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace lateral::crypto {
 namespace {
@@ -20,6 +23,50 @@ std::array<std::uint8_t, 64> normalize_key(BytesView key) {
 
 }  // namespace
 
+namespace kernels {
+
+void hmac_parts(const std::uint32_t inner[8], const std::uint32_t outer[8],
+                std::span<const BytesView> parts, Sha256Kernel compress,
+                HmacFinishKernel finish, std::uint8_t digest[32]) {
+  std::uint32_t state[8];
+  std::memcpy(state, inner, sizeof state);
+  // The bytes not yet compressed, then the padding: one block, or two when
+  // fewer than 9 bytes are left for 0x80 and the length.
+  alignas(16) std::uint8_t tail[128];
+  std::size_t fill = 0;
+  std::uint64_t total = 64;  // the ipad block
+  for (BytesView part : parts) {
+    if (part.empty()) continue;  // an empty view may hold a null pointer
+    total += part.size();
+    const std::uint8_t* p = part.data();
+    std::size_t n = part.size();
+    if (fill > 0) {
+      const std::size_t take = std::min(n, 64 - fill);
+      std::memcpy(tail + fill, p, take);
+      fill += take;
+      p += take;
+      n -= take;
+      if (fill < 64) continue;
+      compress(state, tail, 1);
+      fill = 0;
+    }
+    if (n >= 64) {
+      compress(state, p, n / 64);
+      p += n / 64 * 64;
+      n %= 64;
+    }
+    std::memcpy(tail, p, n);
+    fill = n;
+  }
+  const std::size_t blocks = fill < 56 ? 1 : 2;
+  tail[fill] = 0x80;
+  std::memset(tail + fill + 1, 0, 64 * blocks - 8 - (fill + 1));
+  wire::store_be64(tail + 64 * blocks - 8, total * 8);
+  finish(state, tail, blocks, outer, digest);
+}
+
+}  // namespace kernels
+
 Hmac::Hmac(BytesView key) {
   const auto block = normalize_key(key);
   std::array<std::uint8_t, 64> ipad, opad;
@@ -31,6 +78,17 @@ Hmac::Hmac(BytesView key) {
   outer_.update(BytesView(opad.data(), opad.size()));
 }
 
+Digest Hmac::mac(std::initializer_list<BytesView> parts) const {
+  if (inner_.finished_ || inner_.total_len_ != 64)
+    throw Error("Hmac::mac on a context already fed");
+  Digest out;
+  kernels::hmac_parts(inner_.state_.data(), outer_.state_.data(),
+                      std::span<const BytesView>(parts.begin(), parts.size()),
+                      kernels::sha256_kernel(), kernels::hmac_finish_kernel(),
+                      out.data());
+  return out;
+}
+
 void Hmac::update(BytesView data) { inner_.update(data); }
 
 Digest Hmac::finish() {
@@ -39,9 +97,7 @@ Digest Hmac::finish() {
 }
 
 Digest hmac_sha256(BytesView key, BytesView message) {
-  Hmac ctx(key);
-  ctx.update(message);
-  return ctx.finish();
+  return Hmac(key).mac({message});
 }
 
 Digest hkdf_extract(BytesView salt, BytesView ikm) {
@@ -53,15 +109,12 @@ Bytes hkdf_expand(const Digest& prk, BytesView info, std::size_t length) {
   Bytes out;
   out.reserve(length);
   const Hmac keyed(digest_view(prk));
-  Bytes t;
+  Digest t;
+  BytesView previous;  // T(0) is empty
   std::uint8_t counter = 1;
   while (out.size() < length) {
-    Hmac ctx = keyed;
-    ctx.update(t);
-    ctx.update(info);
-    ctx.update(BytesView(&counter, 1));
-    const Digest block = ctx.finish();
-    t.assign(block.begin(), block.end());
+    t = keyed.mac({previous, info, BytesView(&counter, 1)});
+    previous = digest_view(t);
     const std::size_t take = std::min<std::size_t>(32, length - out.size());
     out.insert(out.end(), t.begin(), t.begin() + static_cast<long>(take));
     ++counter;
@@ -80,12 +133,8 @@ HmacDrbg::HmacDrbg(BytesView seed) : key_(32, 0x00), v_(32, 0x01) {
 void HmacDrbg::update_state(BytesView provided) {
   // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
   {
-    Hmac ctx(key_);
-    ctx.update(v_);
     const std::uint8_t zero = 0x00;
-    ctx.update(BytesView(&zero, 1));
-    ctx.update(provided);
-    const Digest k = ctx.finish();
+    const Digest k = Hmac(key_).mac({v_, BytesView(&zero, 1), provided});
     key_.assign(k.begin(), k.end());
   }
   {
@@ -93,12 +142,8 @@ void HmacDrbg::update_state(BytesView provided) {
     v_.assign(v.begin(), v.end());
   }
   if (!provided.empty()) {
-    Hmac ctx(key_);
-    ctx.update(v_);
     const std::uint8_t one = 0x01;
-    ctx.update(BytesView(&one, 1));
-    ctx.update(provided);
-    const Digest k = ctx.finish();
+    const Digest k = Hmac(key_).mac({v_, BytesView(&one, 1), provided});
     key_.assign(k.begin(), k.end());
     const Digest v = hmac_sha256(key_, v_);
     v_.assign(v.begin(), v.end());

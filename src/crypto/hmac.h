@@ -5,6 +5,8 @@
 // source used inside protocols (seedable, so tests are reproducible).
 #pragma once
 
+#include <initializer_list>
+
 #include "crypto/sha256.h"
 #include "util/types.h"
 
@@ -14,11 +16,17 @@ namespace lateral::crypto {
 Digest hmac_sha256(BytesView key, BytesView message);
 
 /// Incremental HMAC context. A keyed context holds both midstates (the
-/// ipad and opad blocks already absorbed), so copying one before `update`
-/// authenticates another message under the same key without re-keying.
+/// ipad and opad blocks already absorbed). `mac` authenticates a whole
+/// message from them in one pass, leaving the context as it was; a
+/// streaming caller copies the keyed context and uses `update`/`finish`.
 class Hmac {
  public:
   explicit Hmac(BytesView key);
+
+  /// HMAC of the concatenated `parts`, without copying the context. Throws
+  /// Error on a context that `update` or `finish` has already fed.
+  Digest mac(std::initializer_list<BytesView> parts) const;
+
   void update(BytesView data);
   Digest finish();
 

@@ -40,6 +40,15 @@ std::uint64_t big_endian(std::uint64_t v) {
   return v;
 }
 
+/// The eight state words in byte order: a digest, or the first half of an
+/// HMAC outer block.
+void store_words(std::uint8_t out[32], const std::uint32_t state[8]) {
+  for (int i = 0; i < 8; ++i) {
+    const std::uint32_t word = big_endian(state[i]);
+    std::memcpy(out + 4 * i, &word, 4);
+  }
+}
+
 }  // namespace
 
 namespace kernels {
@@ -93,6 +102,24 @@ void sha256_portable(std::uint32_t state[8], const std::uint8_t* blocks,
   }
 }
 
+void hmac_finish_portable(const std::uint32_t inner[8],
+                          const std::uint8_t* tail, std::size_t count,
+                          const std::uint32_t outer[8],
+                          std::uint8_t digest[32]) {
+  std::uint32_t state[8];
+  std::memcpy(state, inner, sizeof state);
+  sha256_portable(state, tail, count);
+  // The outer message is opad ‖ inner digest: 96 bytes, so its one block
+  // after the opad is the digest, 0x80, zeros and the bit length 768.
+  std::uint8_t block[64] = {};
+  store_words(block, state);
+  block[32] = 0x80;
+  block[62] = 0x03;
+  std::memcpy(state, outer, sizeof state);
+  sha256_portable(state, block, 1);
+  store_words(digest, state);
+}
+
 #ifdef LATERAL_X86_CRYPTO_KERNELS
 
 bool cpu_has_sha_ni() {
@@ -104,71 +131,129 @@ bool cpu_has_sha_ni() {
 // each group of four rounds adds K to four message words, runs two
 // sha256rnds2, and advances the message schedule four words with
 // sha256msg1/sha256msg2 (FIPS 180-4 §6.2.2 step 1, four words at a time).
-__attribute__((target("sha,sse4.1"))) void sha256_shani(
-    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t count) {
-  const __m128i byteswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+namespace {
+
+#define LATERAL_SHA_NI __attribute__((target("sha,sse4.1"), always_inline))
+
+struct ShaNiState {
+  __m128i abef, cdgh;
+};
+
+/// Swaps the bytes of each 32-bit lane: big-endian words to lanes and back.
+LATERAL_SHA_NI inline __m128i byteswap32(__m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL));
+}
+
+LATERAL_SHA_NI inline ShaNiState load_state(const std::uint32_t state[8]) {
   const __m128i dcba = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
   const __m128i hgfe = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
-  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
-  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+  return {_mm_alignr_epi8(dcba, hgfe, 8), _mm_blend_epi16(hgfe, dcba, 0xF0)};
+}
 
-  for (; count > 0; --count, blocks += 64) {
-    const __m128i abef_in = abef, cdgh_in = cdgh;
-    __m128i w[4] = {};  // message words 4i..4i+3 of group i, at i % 4
+/// The state words a..d and e..h, each in lane order.
+LATERAL_SHA_NI inline void state_words(const ShaNiState& s, __m128i& abcd,
+                                       __m128i& efgh) {
+  const __m128i feba = _mm_shuffle_epi32(s.abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(s.cdgh, 0xB1);
+  abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+  efgh = _mm_alignr_epi8(dchg, feba, 8);
+}
+
+/// One block's 64 rounds; message words 4i..4i+3 are lanes 0..3 of w[i].
+LATERAL_SHA_NI inline void rounds(ShaNiState& s, __m128i w[4]) {
+  __m128i abef = s.abef, cdgh = s.cdgh;
 #pragma GCC unroll 16
-    for (int i = 0; i < 16; ++i) {
-      if (i < 4)
-        w[i] = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
-            byteswap);
-      __m128i msg = _mm_add_epi32(
-          w[i % 4],
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
-      if (i >= 3 && i <= 14) {
-        __m128i& next = w[(i + 1) % 4];
-        next = _mm_add_epi32(next,
-                             _mm_alignr_epi8(w[i % 4], w[(i + 3) % 4], 4));
-        next = _mm_sha256msg2_epu32(next, w[i % 4]);
-      }
-      msg = _mm_shuffle_epi32(msg, 0x0E);
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
-      if (i >= 1 && i <= 12)
-        w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], w[i % 4]);
+  for (int i = 0; i < 16; ++i) {
+    __m128i msg = _mm_add_epi32(
+        w[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+    if (i >= 3 && i <= 14) {
+      __m128i& next = w[(i + 1) % 4];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(w[i % 4], w[(i + 3) % 4], 4));
+      next = _mm_sha256msg2_epu32(next, w[i % 4]);
     }
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    msg = _mm_shuffle_epi32(msg, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    if (i >= 1 && i <= 12)
+      w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], w[i % 4]);
   }
+  s.abef = _mm_add_epi32(s.abef, abef);
+  s.cdgh = _mm_add_epi32(s.cdgh, cdgh);
+}
 
-  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
-  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
-                   _mm_blend_epi16(feba, dchg, 0xF0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
-                   _mm_alignr_epi8(dchg, feba, 8));
+LATERAL_SHA_NI inline void compress_blocks(ShaNiState& s,
+                                           const std::uint8_t* blocks,
+                                           std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    __m128i w[4];
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i)
+      w[i] = byteswap32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)));
+    rounds(s, w);
+  }
+}
+
+#undef LATERAL_SHA_NI
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1"))) void sha256_shani(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t count) {
+  ShaNiState s = load_state(state);
+  compress_blocks(s, blocks, count);
+  __m128i abcd, efgh;
+  state_words(s, abcd, efgh);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abcd);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), efgh);
+}
+
+// The inner digest's words are the outer block's message words 0..7, so
+// they go from the state registers to the message registers as they are;
+// words 8..15 are the fixed padding of a 96-byte message.
+__attribute__((target("sha,sse4.1"))) void hmac_finish_shani(
+    const std::uint32_t inner[8], const std::uint8_t* tail, std::size_t count,
+    const std::uint32_t outer[8], std::uint8_t digest[32]) {
+  ShaNiState s = load_state(inner);
+  compress_blocks(s, tail, count);
+  __m128i w[4];
+  state_words(s, w[0], w[1]);
+  w[2] = _mm_set_epi32(0, 0, 0, static_cast<int>(0x80000000u));
+  w[3] = _mm_set_epi32(768, 0, 0, 0);
+  s = load_state(outer);
+  rounds(s, w);
+  __m128i abcd, efgh;
+  state_words(s, abcd, efgh);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(digest), byteswap32(abcd));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(digest + 16), byteswap32(efgh));
 }
 
 #endif  // LATERAL_X86_CRYPTO_KERNELS
 
-}  // namespace kernels
-
-namespace {
-
-kernels::Sha256Kernel sha256_kernel() {
+Sha256Kernel sha256_kernel() {
 #ifdef LATERAL_X86_CRYPTO_KERNELS
-  static const kernels::Sha256Kernel kernel = kernels::cpu_has_sha_ni()
-                                                  ? kernels::sha256_shani
-                                                  : kernels::sha256_portable;
+  static const Sha256Kernel kernel =
+      cpu_has_sha_ni() ? sha256_shani : sha256_portable;
   return kernel;
 #else
-  return kernels::sha256_portable;
+  return sha256_portable;
 #endif
 }
 
-}  // namespace
+HmacFinishKernel hmac_finish_kernel() {
+#ifdef LATERAL_X86_CRYPTO_KERNELS
+  static const HmacFinishKernel kernel =
+      cpu_has_sha_ni() ? hmac_finish_shani : hmac_finish_portable;
+  return kernel;
+#else
+  return hmac_finish_portable;
+#endif
+}
+
+}  // namespace kernels
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -176,7 +261,7 @@ Sha256::Sha256()
       buffer_{} {}
 
 void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
-  sha256_kernel()(state_.data(), blocks, count);
+  kernels::sha256_kernel()(state_.data(), blocks, count);
 }
 
 void Sha256::update(BytesView data) {
@@ -219,10 +304,7 @@ Digest Sha256::finish() {
   compress(buffer_.data(), 1);
 
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint32_t word = big_endian(state_[i]);
-    std::memcpy(out.data() + 4 * i, &word, 4);
-  }
+  store_words(out.data(), state_.data());
   return out;
 }
 

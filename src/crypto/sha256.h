@@ -37,6 +37,9 @@ class Sha256 {
  private:
   void compress(const std::uint8_t* blocks, std::size_t count);
 
+  // Hmac::mac reads its keyed midstates without copying the contexts.
+  friend class Hmac;
+
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_len_ = 0;

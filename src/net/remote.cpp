@@ -82,7 +82,9 @@ RemoteProxy::RemoteProxy(SecureChannelEndpoint& channel, Transport transport)
 }
 
 Result<Bytes> RemoteProxy::call(const std::string& method, BytesView payload) {
-  auto record = channel_.seal_record(encode_rpc_request(method, payload));
+  Bytes head;
+  append_rpc_request_head(head, method);
+  auto record = channel_.seal_record_parts({}, head, payload);
   if (!record) return record.error();
 
   auto reply_record = transport_(*record);

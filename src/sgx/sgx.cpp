@@ -65,11 +65,8 @@ Bytes report_key(const crypto::Aes128Key& device_key,
 
 crypto::Digest report_mac(BytesView key, const crypto::Digest& source,
                           const crypto::Digest& target, BytesView user_data) {
-  crypto::Hmac mac(key);
-  mac.update(crypto::digest_view(source));
-  mac.update(crypto::digest_view(target));
-  mac.update(user_data);
-  return mac.finish();
+  return crypto::Hmac(key).mac({crypto::digest_view(source),
+                                crypto::digest_view(target), user_data});
 }
 
 }  // namespace

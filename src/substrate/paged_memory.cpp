@@ -24,13 +24,10 @@ std::uint64_t PageCipher::nonce(hw::PhysAddr page,
 
 crypto::Digest PageCipher::mac(hw::PhysAddr page, std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac = keys_.mac;
   std::uint8_t header[16];
   wire::store_be64(header, page);
   wire::store_be64(header + 8, version);
-  mac.update(BytesView(header, sizeof(header)));
-  mac.update(ciphertext);
-  return mac.finish();
+  return keys_.mac.mac({BytesView(header, sizeof(header)), ciphertext});
 }
 
 Bytes PageCipher::seal(hw::PhysAddr page, BytesView plaintext) {

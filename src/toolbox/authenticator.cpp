@@ -22,12 +22,10 @@ Bytes PasswordlessAuthenticator::begin() { return verifier_.make_challenge(); }
 
 crypto::Digest PasswordlessAuthenticator::token_mac(
     std::uint64_t serial, const crypto::Digest& device) const {
-  crypto::Hmac mac(token_key_);
   std::uint8_t serial_be[8];
   wire::store_be64(serial_be, serial);
-  mac.update(BytesView(serial_be, 8));
-  mac.update(crypto::digest_view(device));
-  return mac.finish();
+  return crypto::Hmac(token_key_)
+      .mac({BytesView(serial_be, 8), crypto::digest_view(device)});
 }
 
 Result<SessionToken> PasswordlessAuthenticator::complete(BytesView quote_wire,

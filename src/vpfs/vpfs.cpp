@@ -41,15 +41,11 @@ std::uint64_t Vpfs::block_nonce(std::uint64_t file_id, std::size_t block,
 crypto::Digest Vpfs::block_mac(std::uint64_t file_id, std::size_t block,
                                std::uint64_t version,
                                BytesView ciphertext) const {
-  crypto::Hmac mac = keys_->mac;
-  Bytes header;
-  wire::ByteWriter w(header);
-  w.u64(file_id);
-  w.u64(block);
-  w.u64(version);
-  mac.update(header);
-  mac.update(ciphertext);
-  return mac.finish();
+  std::uint8_t header[24];
+  wire::store_be64(header, file_id);
+  wire::store_be64(header + 8, block);
+  wire::store_be64(header + 16, version);
+  return keys_->mac.mac({BytesView(header, sizeof(header)), ciphertext});
 }
 
 Status Vpfs::attach_block_plane(substrate::DomainId disk,
@@ -385,9 +381,7 @@ Status Vpfs::sync() {
   wire::ByteWriter w(record);
   w.u64(new_seq);
   w.bytes(meta_digest);
-  crypto::Hmac mac = keys_->mac;
-  mac.update(record);
-  const crypto::Digest record_mac = mac.finish();
+  const crypto::Digest record_mac = keys_->mac.mac({record});
   record.insert(record.end(), record_mac.begin(), record_mac.end());
   if (!backing_.exists(journal_path())) (void)backing_.create(journal_path());
   const auto journal_size = backing_.size(journal_path());

@@ -8,7 +8,9 @@
 // of 64 such rounds and bounds them per acked reading, so a change that
 // puts a copy or a node allocation back on the per-reading path fails
 // here instead of showing up only as lost throughput. It also checks that
-// the loop resolves no endpoint name: every hop goes by EndpointId.
+// the loop resolves no endpoint name: every hop goes by EndpointId, and
+// that Aead's in-place seal and open, which every record goes through,
+// allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/attestation.h"
+#include "crypto/aes.h"
 #include "fleet/fleet_client.h"
 #include "fleet/fleet_server.h"
 #include "fleet/verification_cache.h"
@@ -218,6 +221,27 @@ TEST(FleetAllocations, IngestLoopStaysUnderPerReadingBound) {
   // No string hash per reading: meters and server resolved their names
   // before the counted rounds.
   EXPECT_EQ(network.stats().name_resolutions, resolutions_from);
+}
+
+TEST(AeadAllocations, InPlaceSealAndOpenAllocateNothing) {
+  const crypto::Aead aead(to_bytes("alloc-aead"));
+  const Bytes aad = to_bytes("alloc-aad");
+  Bytes plain(300);
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    plain[i] = static_cast<std::uint8_t>(i);
+  Bytes record = plain;
+  const std::uint64_t counted_from =
+      g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t nonce = 0;
+  for (const std::size_t len : {0, 1, 24, 64, 65, 300}) {
+    const BytesView view(record.data(), len);
+    const crypto::AeadTag tag = aead.seal(++nonce, aad, view, record.data());
+    ASSERT_TRUE(aead.open(nonce, aad, view,
+                          BytesView(tag.data(), tag.size()), record.data())
+                    .ok());
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - counted_from, 0u);
+  EXPECT_EQ(record, plain);
 }
 
 }  // namespace

@@ -87,6 +87,58 @@ TEST(ManifestParser, RejectsMalformedInput) {
   EXPECT_FALSE(parse_manifests("component x y {\n}\n").ok());
 }
 
+// A bad number is a malformed directive like any other: refused with
+// invalid_argument, never thrown.
+TEST(ManifestParser, RejectsNonNumericOrNonFiniteAssets) {
+  for (const char* value : {"abc", "1e999", "-1e999", "inf", "nan", "2.5x",
+                            "", "0x10"}) {
+    const std::string text =
+        "component x {\n assets " + std::string(value) + "\n}\n";
+    Errc error = Errc::ok;
+    EXPECT_NO_THROW(error = parse_manifests(text).error()) << value;
+    EXPECT_EQ(error, Errc::invalid_argument) << value;
+  }
+  auto parsed = parse_manifests("component x {\n assets 2.5\n}\n");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ((*parsed)[0].asset_value, 2.5);
+}
+
+// Every 32-bit field refuses a value past 2^32 - 1 instead of keeping its
+// low 32 bits, and still takes 2^32 - 1 itself.
+TEST(ManifestParser, RejectsThirtyTwoBitOverflow) {
+  const std::pair<const char*, const char*> fields[] = {
+      {"restart {\n max ", "\n }"},
+      {"update {\n slots ", "\n }"},
+      {"update {\n probation ", "\n }"},
+      {"slo {\n error_rate ", "\n }"},
+      {"slo {\n burn_windows ", "\n }"},
+      {"share ", ""},
+  };
+  for (const auto& [before, after] : fields) {
+    const auto text = [&](const char* value) {
+      return "component x {\n " + std::string(before) + value + after +
+             "\n}\n";
+    };
+    EXPECT_EQ(parse_manifests(text("4294967297")).error(),
+              Errc::invalid_argument)
+        << before;
+    EXPECT_EQ(parse_manifests(text("18446744073709551615")).error(),
+              Errc::invalid_argument)
+        << before;
+  }
+  auto parsed = parse_manifests(
+      "component x {\n share 4294967295\n restart {\n max 4294967295\n }\n"
+      " update {\n slots 4294967295\n probation 4294967295\n }\n"
+      " slo {\n burn_windows 4294967295\n }\n}\n");
+  ASSERT_TRUE(parsed.ok());
+  const Manifest& m = (*parsed)[0];
+  EXPECT_EQ(m.time_share_permille, 4294967295u);
+  EXPECT_EQ(m.restart->max_restarts, 4294967295u);
+  EXPECT_EQ(m.update->slots, 4294967295u);
+  EXPECT_EQ(m.update->probation_ticks, 4294967295u);
+  EXPECT_EQ(m.slo->burn_windows, 4294967295u);
+}
+
 TEST(ManifestParser, RoundTripsThroughText) {
   auto original = parse_manifests(kEmailManifest);
   ASSERT_TRUE(original.ok());

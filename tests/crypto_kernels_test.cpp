@@ -3,6 +3,10 @@
 //  * each hardware kernel against the portable reference on seeded inputs,
 //    and both against FIPS vectors — reached directly, without a switch;
 //  * Sha256's buffering and padding at every block boundary;
+//  * the CTR stream kernels at every length up to 300 bytes, in place and
+//    out of place;
+//  * Hmac::mac from parts against a Sha256-built HMAC at every split, on
+//    both SHA-256 kernel families, and against RFC 4231;
 //  * copies of a keyed Hmac against fresh keying;
 //  * golden vectors that pin the exact bytes of Aead, HKDF, HMAC-DRBG and
 //    HMAC, so a faster path can never change an output.
@@ -212,6 +216,92 @@ TEST(Aes128Kernels, AesNiMatchesPortable) {
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// AES-128-CTR stream
+
+// The counter-mode definition, block by block on the portable cipher.
+Bytes ctr_reference(const std::uint8_t schedule[176], std::uint64_t nonce,
+                    BytesView in) {
+  Bytes out(in.begin(), in.end());
+  for (std::size_t offset = 0; offset < in.size(); offset += 16) {
+    std::uint8_t block[16];
+    const std::uint64_t counter = offset / 16;
+    for (int i = 0; i < 8; ++i) {
+      block[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+      block[8 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
+    }
+    kernels::aes128_portable(schedule, block);
+    for (std::size_t i = offset; i < std::min(offset + 16, in.size()); ++i)
+      out[i] ^= block[i - offset];
+  }
+  return out;
+}
+
+std::vector<std::size_t> ctr_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  return lengths;
+}
+
+const std::uint64_t kCtrNonces[] = {0, 1, 0x0123456789abcdefULL,
+                                    ~std::uint64_t{0}};
+
+// `kernel` over every length and nonce, out of place (into a buffer with a
+// guard tail that must stay untouched) and in place, against the portable
+// kernel.
+void expect_ctr_matches_portable(kernels::Aes128CtrKernel kernel) {
+  util::Xoshiro rng(5);
+  const Bytes key = rng.bytes(16);
+  std::uint8_t schedule[176];
+  kernels::aes128_expand_key(key.data(), schedule);
+  for (const std::uint64_t nonce : kCtrNonces) {
+    for (const std::size_t len : ctr_lengths()) {
+      const Bytes in = rng.bytes(len);
+      Bytes want(len);
+      kernels::aes128_ctr_portable(schedule, nonce, in.data(), want.data(),
+                                   len);
+      Bytes out(len + 16, 0xA5);
+      kernel(schedule, nonce, in.data(), out.data(), len);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
+          << "out of place, len=" << len << " nonce=" << nonce;
+      EXPECT_TRUE(std::all_of(out.begin() + static_cast<long>(len), out.end(),
+                              [](std::uint8_t b) { return b == 0xA5; }))
+          << "wrote past len=" << len;
+      Bytes inplace = in;
+      kernel(schedule, nonce, inplace.data(), inplace.data(), len);
+      EXPECT_EQ(inplace, want) << "in place, len=" << len
+                               << " nonce=" << nonce;
+    }
+  }
+}
+
+TEST(AesCtrKernels, PortableMatchesCounterMode) {
+  util::Xoshiro rng(6);
+  const Bytes key = rng.bytes(16);
+  std::uint8_t schedule[176];
+  kernels::aes128_expand_key(key.data(), schedule);
+  for (const std::uint64_t nonce : kCtrNonces) {
+    for (const std::size_t len : ctr_lengths()) {
+      const Bytes in = rng.bytes(len);
+      Bytes out(len);
+      kernels::aes128_ctr_portable(schedule, nonce, in.data(), out.data(),
+                                   len);
+      EXPECT_EQ(out, ctr_reference(schedule, nonce, in)) << "len=" << len;
+    }
+  }
+}
+
+TEST(AesCtrKernels, AesNiMatchesPortable) {
+#ifndef LATERAL_X86_CRYPTO_KERNELS
+  GTEST_SKIP() << "not an x86-64 build: there is no AES-NI kernel";
+#else
+  if (!kernels::cpu_has_aes_ni())
+    GTEST_SKIP() << "this CPU lacks AES-NI (aes); hardware kernel untested";
+  expect_ctr_matches_portable(kernels::aes128_ctr_aesni);
+#endif
+}
+
 TEST(EncMacKeys, MatchesTheRawKeys) {
   const Bytes keys = pattern(48, 13, 5);
   const EncMacKeys keyed(keys);
@@ -259,6 +349,187 @@ TEST(HmacKeyed, CopiesEqualFreshKeying) {
     c.update(m1);
     EXPECT_EQ(c.finish(), da) << "key " << key_len;
   }
+}
+
+// ---------------------------------------------------------------------------
+// HMAC from parts
+
+// HMAC-SHA256 by its definition, on the streaming Sha256 alone.
+Digest hmac_reference(BytesView key, BytesView message) {
+  std::uint8_t block[64] = {};
+  if (key.size() > 64) {
+    const Digest d = Sha256::hash(key);
+    std::copy(d.begin(), d.end(), block);
+  } else {
+    std::copy(key.begin(), key.end(), block);
+  }
+  std::uint8_t ipad[64], opad[64];
+  for (int i = 0; i < 64; ++i) {
+    ipad[i] = block[i] ^ 0x36;
+    opad[i] = block[i] ^ 0x5c;
+  }
+  const Digest inner = Sha256::hash2(BytesView(ipad, 64), message);
+  return Sha256::hash2(BytesView(opad, 64), digest_view(inner));
+}
+
+// The keyed midstates kernels::hmac_parts starts from, made here with the
+// portable kernel.
+struct Midstates {
+  std::uint32_t inner[8], outer[8];
+};
+
+Midstates midstates(BytesView key) {
+  std::uint8_t pads[2][64] = {};
+  std::copy(key.begin(), key.end(), pads[0]);  // keys of at most 64 bytes
+  std::copy(key.begin(), key.end(), pads[1]);
+  for (int i = 0; i < 64; ++i) {
+    pads[0][i] ^= 0x36;
+    pads[1][i] ^= 0x5c;
+  }
+  Midstates m;
+  for (int i = 0; i < 2; ++i) {
+    std::uint32_t* state = i == 0 ? m.inner : m.outer;
+    const std::uint32_t iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                 0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                 0x1f83d9ab, 0x5be0cd19};
+    std::copy(iv, iv + 8, state);
+    kernels::sha256_portable(state, pads[i], 1);
+  }
+  return m;
+}
+
+// Every split of every message of 0..200 bytes into one, two and three
+// parts, through `mac`, against the reference. Lengths 55/56, 64 and
+// 119/120 are where the padding spills into a second tail block.
+template <typename Mac>
+void expect_every_split(const Mac& mac, BytesView key, const char* path) {
+  util::Xoshiro rng(7);
+  const Bytes message = rng.bytes(200);
+  for (std::size_t len = 0; len <= message.size(); ++len) {
+    const BytesView m(message.data(), len);
+    const Digest want = hmac_reference(key, m);
+    for (std::size_t i = 0; i <= len; ++i)
+      for (std::size_t j = i; j <= len; ++j)
+        ASSERT_EQ(mac(m.first(i), m.subspan(i, j - i), m.subspan(j)), want)
+            << path << " len=" << len << " split " << i << "," << j;
+  }
+}
+
+TEST(HmacParts, MacMatchesReferenceAtEverySplit) {
+  const Bytes key = pattern(32, 5, 9);
+  const Hmac keyed(key);
+  expect_every_split(
+      [&](BytesView a, BytesView b, BytesView c) {
+        return keyed.mac({a, b, c});
+      },
+      key, "Hmac::mac");
+  // Fewer parts than three, and the one-shot wrapper.
+  const Bytes m = pattern(130, 3, 4);
+  EXPECT_EQ(keyed.mac({}), hmac_reference(key, {}));
+  EXPECT_EQ(keyed.mac({m}), hmac_reference(key, m));
+  EXPECT_EQ(hmac_sha256(key, m), hmac_reference(key, m));
+}
+
+// Both kernel families through the same absorb-and-pad code.
+Digest parts_on(kernels::Sha256Kernel compress,
+                kernels::HmacFinishKernel finish, const Midstates& keyed,
+                std::initializer_list<BytesView> parts) {
+  Digest out;
+  kernels::hmac_parts(keyed.inner, keyed.outer,
+                      std::span<const BytesView>(parts.begin(), parts.size()),
+                      compress, finish, out.data());
+  return out;
+}
+
+TEST(HmacParts, PortableMatchesReferenceAtEverySplit) {
+  const Bytes key = pattern(48, 7, 1);
+  const Midstates keyed = midstates(key);
+  expect_every_split(
+      [&](BytesView a, BytesView b, BytesView c) {
+        return parts_on(kernels::sha256_portable,
+                        kernels::hmac_finish_portable, keyed, {a, b, c});
+      },
+      key, "portable");
+}
+
+TEST(HmacParts, ShaNiMatchesPortable) {
+#ifndef LATERAL_X86_CRYPTO_KERNELS
+  GTEST_SKIP() << "not an x86-64 build: there is no SHA-NI kernel";
+#else
+  if (!kernels::cpu_has_sha_ni())
+    GTEST_SKIP() << "this CPU lacks SHA-NI (sha_ni); hardware kernel untested";
+  const Bytes key = pattern(48, 7, 1);
+  const Midstates keyed = midstates(key);
+  expect_every_split(
+      [&](BytesView a, BytesView b, BytesView c) {
+        return parts_on(kernels::sha256_shani, kernels::hmac_finish_shani,
+                        keyed, {a, b, c});
+      },
+      key, "SHA-NI");
+  // The finish kernel alone, from arbitrary (non-keyed) states.
+  util::Xoshiro rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t inner[8], outer[8];
+    for (int i = 0; i < 8; ++i) {
+      inner[i] = static_cast<std::uint32_t>(rng.next());
+      outer[i] = static_cast<std::uint32_t>(rng.next());
+    }
+    const std::size_t blocks = 1 + rng.below(2);
+    const Bytes tail = rng.bytes(64 * blocks);
+    std::uint8_t hw[32], sw[32];
+    kernels::hmac_finish_shani(inner, tail.data(), blocks, outer, hw);
+    kernels::hmac_finish_portable(inner, tail.data(), blocks, outer, sw);
+    EXPECT_TRUE(std::equal(hw, hw + 32, sw)) << "trial " << trial;
+  }
+#endif
+}
+
+TEST(HmacParts, Rfc4231Vectors) {
+  const Bytes long_key(131, 0xaa);
+  const struct {
+    Bytes key, data;
+    std::string mac;  // case 5 is truncated to 128 bits
+  } cases[] = {
+      {Bytes(20, 0x0b), to_bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {unhex("0102030405060708090a0b0c0d0e0f10111213141516171819"),
+       Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(20, 0x0c), to_bytes("Test With Truncation"),
+       "a3b6167473100ee06e0c796c2955552b"},
+      {long_key,
+       to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {long_key,
+       to_bytes("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Hmac keyed(cases[i].key);
+    const BytesView data = cases[i].data;
+    // Whole, and split in three around the middle.
+    const std::size_t a = data.size() / 3, b = 2 * data.size() / 3;
+    for (const Digest& d :
+         {keyed.mac({data}), keyed.mac({data.first(a),
+                                        data.subspan(a, b - a),
+                                        data.subspan(b)})}) {
+      const std::string hex = util::to_hex(digest_view(d));
+      EXPECT_EQ(hex.substr(0, cases[i].mac.size()), cases[i].mac)
+          << "RFC 4231 case " << i + 1;
+    }
+  }
+}
+
+TEST(HmacParts, RefusesAFedContext) {
+  Hmac ctx(to_bytes("key"));
+  ctx.update(to_bytes("m"));
+  EXPECT_THROW(ctx.mac({to_bytes("m")}), Error);
 }
 
 // ---------------------------------------------------------------------------
