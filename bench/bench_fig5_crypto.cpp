@@ -102,7 +102,7 @@ void BM_RsaKeygen(benchmark::State& state) {
         RsaKeyPair::generate(drbg, static_cast<std::size_t>(state.range(0))));
   }
 }
-BENCHMARK(BM_RsaKeygen)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RsaKeygen)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // The two halves of a DH exchange: keygen raises the fixed generator (the
 // group's fixed-base table), the shared secret a peer's value.

@@ -1,6 +1,7 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/hmac.h"
 #include "crypto/kernels.h"
@@ -305,63 +306,108 @@ struct Column {
 // a*a, each cross product a[j]*a[k-j] (j < k-j) once and doubled. N fixes
 // the width at compile time, and the unroll hints then turn every loop
 // into straight-line code; N == 0 takes the width from `words`, with
-// `scratch` (2n words) holding u and the result. out may alias a or b.
-template <std::size_t N, bool Square>
-void fips(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
-          const std::uint64_t* m, std::uint64_t m_inv, std::size_t words,
+// `scratch` (2n words per lane) holding u and the result. out may alias a
+// or b.
+//
+// At 4 words one lane's chain of column additions is latency-bound, so L
+// independent lanes share each column, every product of one lane next to
+// the same product of the others, and their carry chains overlap (a
+// squaring costs ~0.7x per lane). At other widths the lanes take the body
+// in turn: from 8 words a column has enough independent products to keep
+// the multiplier busy, and sharing it only spilled (a shared 8-word
+// multiply cost 1.3x per lane).
+template <std::size_t N, bool Square, std::size_t L>
+void fips(const MontgomeryLanes<L>& lanes, std::size_t words,
           std::uint64_t* scratch) {
+  if constexpr (L > 1 && N != 4) {
+    for (std::size_t l = 0; l < L; ++l)
+      fips<N, Square, 1>({{lanes.out[l]}, {lanes.a[l]}, {lanes.b[l]},
+                          {lanes.m[l]}, {lanes.m_inv[l]}},
+                         words, scratch);
+    return;
+  }
+  const MontgomeryLanes<L> x = lanes;  // no reload after a scratch store
   const std::size_t n = N ? N : words;
-  std::uint64_t fixed[N ? 2 * N : 1] = {};
-  std::uint64_t* u = N ? fixed : scratch;
-  std::uint64_t* r = N ? fixed + N : scratch + n;
-  Column acc;
+  std::uint64_t fixed[N ? 2 * N * L : 1] = {};
+  std::uint64_t* u[L];
+  std::uint64_t* r[L];
+  Column acc[L];
+#pragma GCC unroll 2
+  for (std::size_t l = 0; l < L; ++l) {
+    u[l] = (N ? fixed : scratch) + 2 * n * l;
+    r[l] = u[l] + n;
+  }
 #pragma GCC unroll 32
   for (std::size_t k = 0; k + 1 < 2 * n; ++k) {
     // Column k pairs indices j and k-j with both in [first, last].
     const std::size_t first = k < n ? 0 : k + 1 - n;
     const std::size_t last = k < n ? k : n - 1;
     if constexpr (Square) {
-      Column cross;
+      Column cross[L];
 #pragma GCC unroll 16
       for (std::size_t j = first; j < k - j; ++j)
-        cross.add(Wide(a[j]) * a[k - j]);
-      cross.twice();
-      if (k % 2 == 0) cross.add(Wide(a[k / 2]) * a[k / 2]);
-      acc.add(cross);
+#pragma GCC unroll 2
+        for (std::size_t l = 0; l < L; ++l)
+          cross[l].add(Wide(x.a[l][j]) * x.a[l][k - j]);
+#pragma GCC unroll 2
+      for (std::size_t l = 0; l < L; ++l) {
+        cross[l].twice();
+        if (k % 2 == 0) cross[l].add(Wide(x.a[l][k / 2]) * x.a[l][k / 2]);
+        acc[l].add(cross[l]);
+      }
     } else {
 #pragma GCC unroll 16
       for (std::size_t j = first; j <= last; ++j)
-        acc.add(Wide(a[j]) * b[k - j]);
+#pragma GCC unroll 2
+        for (std::size_t l = 0; l < L; ++l)
+          acc[l].add(Wide(x.a[l][j]) * x.b[l][k - j]);
     }
     // While k < n, u[k] is not known yet: it is the word that cancels
     // this column once the other reduction products are in.
     const std::size_t known = k < n ? k : n;
 #pragma GCC unroll 16
     for (std::size_t j = first; j < known; ++j)
-      acc.add(Wide(u[j]) * m[k - j]);
-    if (k < n) {
-      u[k] = acc.low() * m_inv;
-      acc.add(Wide(u[k]) * m[0]);
-      acc.shift();  // zero
-    } else {
-      r[k - n] = acc.shift();
+#pragma GCC unroll 2
+      for (std::size_t l = 0; l < L; ++l)
+        acc[l].add(Wide(u[l][j]) * x.m[l][k - j]);
+#pragma GCC unroll 2
+    for (std::size_t l = 0; l < L; ++l) {
+      if (k < n) {
+        u[l][k] = acc[l].low() * x.m_inv[l];
+        acc[l].add(Wide(u[l][k]) * x.m[l][0]);
+        acc[l].shift();  // zero
+      } else {
+        r[l][k - n] = acc[l].shift();
+      }
     }
   }
-  r[n - 1] = acc.shift();
-  const std::uint64_t top = acc.low();
-  // top:r < 2m: subtract m once unless r < m (top clear and the
-  // subtraction borrows).
-  std::uint64_t borrow = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const Wide diff = Wide(r[j]) - m[j] - borrow;
-    out[j] = static_cast<std::uint64_t>(diff);
-    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+#pragma GCC unroll 2
+  for (std::size_t l = 0; l < L; ++l) {
+    r[l][n - 1] = acc[l].shift();
+    const std::uint64_t top = acc[l].low();
+    // top:r < 2m: subtract m once unless r < m (top clear and the
+    // subtraction borrows).
+    std::uint64_t borrow = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const Wide diff = Wide(r[l][j]) - x.m[l][j] - borrow;
+      x.out[l][j] = static_cast<std::uint64_t>(diff);
+      borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+    }
+    if (borrow > top) std::copy(r[l], r[l] + n, x.out[l]);
   }
-  if (borrow > top) std::copy(r, r + n, out);
+}
+
+// The one-lane entry, in the signature of a single product.
+template <std::size_t N, bool Square>
+void fips1(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+           const std::uint64_t* m, std::uint64_t m_inv, std::size_t words,
+           std::uint64_t* scratch) {
+  fips<N, Square, 1>({{out}, {a}, {b}, {m}, {m_inv}}, words, scratch);
 }
 
 template <std::size_t N>
-constexpr MontgomeryKernels kFips = {&fips<N, false>, &fips<N, true>};
+constexpr MontgomeryKernels kFips = {&fips1<N, false>, &fips1<N, true>,
+                                     &fips<N, false, 2>, &fips<N, true, 2>};
 
 }  // namespace
 
@@ -388,9 +434,11 @@ class Bignum::Montgomery {
  public:
   using Words = std::vector<std::uint64_t>;
 
-  explicit Montgomery(const Bignum& m)
+  /// Residues of m's word count, or of `words` if that is more (a shorter
+  /// modulus can then share the two-lane kernel with a longer one).
+  explicit Montgomery(const Bignum& m, std::size_t words = 0)
       : modulus_(m),
-        m_(pack(m, (m.limbs_.size() + 1) / 2)),
+        m_(pack(m, std::max((m.limbs_.size() + 1) / 2, words))),
         one_(pack((Bignum(1) << (64 * m_.size())) % m, m_.size())),
         r2_(pack((Bignum(1) << (128 * m_.size())) % m, m_.size())),
         kernels_(kernels::montgomery_kernels(m_.size())) {
@@ -452,46 +500,95 @@ class Bignum::Montgomery {
   Words pow(const Words& base, const Bignum& e) const {
     const std::size_t bits = e.bit_length();
     if (bits == 0) return one_;
-    Words t = scratch();
     if (bits <= 64) {
       // Left-to-right square-and-multiply, no table: 17 operations for
-      // e = 65537 against ~34 for the window below, but the sequence
+      // e = 65537 against ~34 for the window, but the sequence
       // follows e's bits. Every exponent this short is public here: e in
       // rsa_verify and in rsa_sign's fault check. The secret ones (DH x
       // at 256 bits, RSA d, dp and dq at about the size of n or p) are far
       // longer and take the window.
       Words acc = base;
+      Words t = scratch();
       for (std::size_t i = bits - 1; i-- > 0;) {
         sqr(acc.data(), acc.data(), t.data());
         if (e.bit(i)) mul(acc.data(), acc.data(), base.data(), t.data());
       }
       return acc;
     }
-    // A fixed 4-bit window multiplies by table[digit] on every window
-    // (table[0] = R), so the sequence of operations depends only on e's
-    // bit length.
-    const std::size_t n = m_.size();
-    const std::size_t windows = (bits + 3) / 4;
-    Words table(16 * n);  // base^0..base^15, one residue per n words
-    const auto entry = [&](std::size_t k) { return table.data() + k * n; };
-    std::copy(one_.begin(), one_.end(), entry(0));
-    std::copy(base.begin(), base.end(), entry(1));
-    for (std::size_t k = 2; k < 16; ++k) {
-      if (k % 2 == 0)
-        sqr(entry(k), entry(k / 2), t.data());
+    return window<1>({this}, {&base}, {&e})[0];
+  }
+
+  /// base[i]^e[i] in Montgomery form under ctx[i], for L contexts of one
+  /// width, by a fixed 4-bit window in the L-lane kernels. Every window
+  /// multiplies by table[digit] (table[0] = R), and a shorter exponent's
+  /// missing high digits are zero, under which one stays one, so the
+  /// sequence of operations depends only on the longest exponent's bit
+  /// length. Throws Error if the widths differ.
+  template <std::size_t L>
+  static std::array<Words, L> window(
+      const std::array<const Montgomery*, L>& ctx,
+      const std::array<const Words*, L>& base,
+      const std::array<const Bignum*, L>& e) {
+    const std::size_t n = ctx[0]->size();
+    std::size_t bits = 0;
+    kernels::MontgomeryLanes<L> op{};
+    for (std::size_t l = 0; l < L; ++l) {
+      if (ctx[l]->size() != n)
+        throw Error("Montgomery: paired moduli of different widths");
+      bits = std::max(bits, e[l]->bit_length());
+      op.m[l] = ctx[l]->m_.data();
+      op.m_inv[l] = ctx[l]->m_inv_;
+    }
+    // Per lane, slots 0..15 hold base^0..base^15 and slot 16 the
+    // accumulator.
+    constexpr std::size_t kAcc = 16;
+    Words slots(17 * n * L);
+    Words t(2 * n * L);
+    const auto slot = [&](std::size_t l, std::size_t k) {
+      return slots.data() + (17 * l + k) * n;
+    };
+    // dst = a*b (or a*a) in every lane, b's slot picked per lane.
+    const kernels::MontgomeryKernels& k = ctx[0]->kernels_;
+    const auto apply = [&](bool square, std::size_t dst, std::size_t a,
+                           const auto& b_of) {
+      for (std::size_t l = 0; l < L; ++l) {
+        op.out[l] = slot(l, dst);
+        op.a[l] = slot(l, a);
+        op.b[l] = slot(l, b_of(l));
+      }
+      if constexpr (L == 1)
+        (square ? k.sqr : k.mul)(op.out[0], op.a[0], op.b[0], op.m[0],
+                                 op.m_inv[0], n, t.data());
       else
-        mul(entry(k), entry(k - 1), base.data(), t.data());
+        (square ? k.sqr2 : k.mul2)(op, n, t.data());
+    };
+    for (std::size_t l = 0; l < L; ++l) {
+      std::copy(ctx[l]->one_.begin(), ctx[l]->one_.end(), slot(l, 0));
+      std::copy(base[l]->begin(), base[l]->end(), slot(l, 1));
+    }
+    for (std::size_t d = 2; d < 16; ++d) {
+      if (d % 2 == 0)
+        apply(true, d, d / 2, [&](std::size_t) { return d / 2; });
+      else
+        apply(false, d, d - 1, [](std::size_t) { return 1; });
     }
     // 4-bit windows never straddle a 32-bit limb.
-    const auto digit = [&](std::size_t w) {
-      return (e.limbs_[w / 8] >> (4 * (w % 8))) & 0xF;
+    const auto digit = [&](std::size_t l, std::size_t w) -> std::size_t {
+      const std::vector<std::uint32_t>& limbs = e[l]->limbs_;
+      return w / 8 < limbs.size() ? (limbs[w / 8] >> (4 * (w % 8))) & 0xF : 0;
     };
-    Words acc(entry(digit(windows - 1)), entry(digit(windows - 1)) + n);
+    const std::size_t windows = std::max<std::size_t>((bits + 3) / 4, 1);
+    for (std::size_t l = 0; l < L; ++l)
+      std::copy_n(slot(l, digit(l, windows - 1)), n, slot(l, kAcc));
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (int i = 0; i < 4; ++i) sqr(acc.data(), acc.data(), t.data());
-      mul(acc.data(), acc.data(), entry(digit(w)), t.data());
+      for (int i = 0; i < 4; ++i)
+        apply(true, kAcc, kAcc, [](std::size_t) { return kAcc; });
+      apply(false, kAcc, kAcc, [&](std::size_t l) { return digit(l, w); });
     }
-    return acc;
+    std::array<Words, L> out;
+    for (std::size_t l = 0; l < L; ++l)
+      out[l].assign(slot(l, kAcc), slot(l, kAcc) + n);
+    return out;
   }
 
  private:
@@ -530,10 +627,10 @@ Bignum Bignum::powmod(const Bignum& exponent, const Bignum& m) const {
   return result;
 }
 
-MontgomeryModulus::MontgomeryModulus(const Bignum& m) {
+MontgomeryModulus::MontgomeryModulus(const Bignum& m, std::size_t words) {
   if (!m.is_odd() || m == Bignum(1))
     throw Error("MontgomeryModulus: modulus must be odd and greater than 1");
-  mont_ = std::make_unique<const Bignum::Montgomery>(m);
+  mont_ = std::make_unique<const Bignum::Montgomery>(m, words);
 }
 
 MontgomeryModulus::~MontgomeryModulus() = default;
@@ -544,6 +641,19 @@ const Bignum& MontgomeryModulus::value() const { return mont_->modulus(); }
 Bignum MontgomeryModulus::powmod(const Bignum& base,
                                  const Bignum& exponent) const {
   return mont_->from_mont(mont_->pow(mont_->to_mont(base), exponent));
+}
+
+std::array<Bignum, 2> MontgomeryModulus::powmod_pair(
+    const MontgomeryModulus& m0, const Bignum& base0, const Bignum& exponent0,
+    const MontgomeryModulus& m1, const Bignum& base1,
+    const Bignum& exponent1) {
+  const Bignum::Montgomery& c0 = *m0.mont_;
+  const Bignum::Montgomery& c1 = *m1.mont_;
+  const Bignum::Montgomery::Words b0 = c0.to_mont(base0);
+  const Bignum::Montgomery::Words b1 = c1.to_mont(base1);
+  const auto x = Bignum::Montgomery::window<2>({&c0, &c1}, {&b0, &b1},
+                                               {&exponent0, &exponent1});
+  return {c0.from_mont(x[0]), c1.from_mont(x[1])};
 }
 
 FixedBaseTable::FixedBaseTable(MontgomeryModulus m, const Bignum& g,
@@ -661,56 +771,155 @@ Bignum Bignum::random_below(HmacDrbg& drbg, const Bignum& bound) {
   }
 }
 
-bool Bignum::is_probable_prime(HmacDrbg& drbg, int rounds) const {
-  static const std::uint32_t kSmallPrimes[] = {
-      2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-      53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
-  if (*this < Bignum(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    if (*this == Bignum(p)) return true;
-    if ((*this % Bignum(p)).is_zero()) return false;
-  }
+namespace {
 
-  // Write n-1 = d * 2^s.
-  const Bignum n_minus_1 = *this - Bignum(1);
-  Bignum d = n_minus_1;
-  std::size_t s = 0;
-  while (!d.is_odd()) {
-    d = d >> 1;
-    ++s;
-  }
+// The odd primes below 114, for trial division, in runs whose products fit
+// in 32 bits (3*5*...*29 = 3234846615, 31*...*47, 53*...*71, 73*...*97,
+// 101*...*109, 113): one remainder over the limbs per run, then one 32-bit
+// remainder per prime.
+constexpr std::uint32_t kOddSmallPrimes[] = {
+    3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37,  41,  43,  47,  53,
+    59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
+constexpr std::size_t kRunEnds[] = {9, 14, 19, 24, 28, 29};
 
-  // Every witness runs in Montgomery form modulo this (odd) n, where 1 and
-  // n-1 have fixed representations.
-  const Montgomery mont(*this);
-  const Montgomery::Words& one = mont.one();
-  const Montgomery::Words minus_one = mont.to_mont(n_minus_1);
-  Montgomery::Words t = mont.scratch();
-  auto witness = [&](const Bignum& a) {
-    Montgomery::Words x = mont.pow(mont.to_mont(a), d);
-    if (x == one || x == minus_one) return false;  // not a witness
-    for (std::size_t i = 1; i < s; ++i) {
-      mont.sqr(x.data(), x.data(), t.data());
-      if (x == minus_one) return false;
+}  // namespace
+
+bool Bignum::has_small_prime_factor() const {
+  if (!is_odd()) return true;
+  std::size_t begin = 0;
+  for (const std::size_t end : kRunEnds) {
+    std::uint64_t product = 1;
+    for (std::size_t i = begin; i < end; ++i) product *= kOddSmallPrimes[i];
+    std::uint64_t rem = 0;
+    for (std::size_t i = limbs_.size(); i-- > 0;)
+      rem = ((rem << 32) | limbs_[i]) % product;
+    for (std::size_t i = begin; i < end; ++i)
+      if (rem % kOddSmallPrimes[i] == 0) return true;
+    begin = end;
+  }
+  return false;
+}
+
+// One odd candidate n > 113 under Miller-Rabin: n-1 = d*2^s, and n's
+// Montgomery context with the forms of 1 and n-1.
+class Bignum::MillerRabin {
+ public:
+  explicit MillerRabin(const Bignum& n)
+      : mont_(n), minus_one_(mont_.to_mont(n - Bignum(1))) {
+    d_ = n - Bignum(1);
+    while (!d_.is_odd()) {
+      d_ = d_ >> 1;
+      ++s_;
     }
-    return true;  // composite witnessed
-  };
-
-  if (witness(Bignum(2))) return false;
-  for (int round = 0; round < rounds; ++round) {
-    const Bignum a =
-        random_below(drbg, *this - Bignum(3)) + Bignum(2);  // [2, n-2]
-    if (witness(a)) return false;
   }
-  return true;
+
+  /// Whether base[i] witnesses that candidate c[i] is composite, for L
+  /// candidates of one width: the L ladders base^d run as one in the
+  /// L-lane kernel, then each lane squares on alone.
+  template <std::size_t L>
+  static std::array<bool, L> witnesses(
+      const std::array<const MillerRabin*, L>& c,
+      const std::array<const Bignum*, L>& base) {
+    std::array<const Montgomery*, L> ctx;
+    std::array<Montgomery::Words, L> b;
+    std::array<const Montgomery::Words*, L> b_of;
+    std::array<const Bignum*, L> d;
+    for (std::size_t l = 0; l < L; ++l) {
+      ctx[l] = &c[l]->mont_;
+      b[l] = ctx[l]->to_mont(*base[l]);
+      b_of[l] = &b[l];
+      d[l] = &c[l]->d_;
+    }
+    std::array<Montgomery::Words, L> x = Montgomery::window<L>(ctx, b_of, d);
+    std::array<bool, L> verdict;
+    for (std::size_t l = 0; l < L; ++l) verdict[l] = c[l]->composite(x[l]);
+    return verdict;
+  }
+
+  /// `rounds` bases drawn uniformly from [2, n-2], two to a pair; true
+  /// when none witnesses. It draws exactly what rounds run one at a time
+  /// draw: when the first base of a pair witnesses, the DRBG goes back to
+  /// where it was before the second base was drawn.
+  bool random_rounds(HmacDrbg& drbg, int rounds) const {
+    const Bignum bound = mont_.modulus() - Bignum(3);
+    for (int round = 0; round < rounds; round += 2) {
+      const Bignum a = random_below(drbg, bound) + Bignum(2);
+      if (round + 1 == rounds) return !witnesses<1>({this}, {&a})[0];
+      const HmacDrbg before_b = drbg;
+      const Bignum b = random_below(drbg, bound) + Bignum(2);
+      const auto [a_witnesses, b_witnesses] =
+          witnesses<2>({this, this}, {&a, &b});
+      if (a_witnesses) {
+        drbg = before_b;
+        return false;
+      }
+      if (b_witnesses) return false;
+    }
+    return true;
+  }
+
+ private:
+  // Whether x = base^d (Montgomery form) witnesses compositeness.
+  bool composite(Montgomery::Words& x) const {
+    if (x == mont_.one() || x == minus_one_) return false;
+    Montgomery::Words t = mont_.scratch();
+    for (std::size_t i = 1; i < s_; ++i) {
+      mont_.sqr(x.data(), x.data(), t.data());
+      if (x == minus_one_) return false;
+    }
+    return true;
+  }
+
+  Montgomery mont_;
+  Montgomery::Words minus_one_;
+  Bignum d_;
+  std::size_t s_ = 0;
+};
+
+bool Bignum::is_probable_prime(HmacDrbg& drbg, int rounds) const {
+  if (is_zero()) return false;
+  if (limbs_.size() == 1 && limbs_[0] <= 113) {
+    const std::uint32_t v = limbs_[0];
+    return v == 2 || std::find(std::begin(kOddSmallPrimes),
+                               std::end(kOddSmallPrimes),
+                               v) != std::end(kOddSmallPrimes);
+  }
+  if (has_small_prime_factor()) return false;
+  const MillerRabin candidate(*this);
+  const Bignum two(2);
+  if (MillerRabin::witnesses<1>({&candidate}, {&two})[0]) return false;
+  return candidate.random_rounds(drbg, rounds);
 }
 
 Bignum Bignum::generate_prime(HmacDrbg& drbg, std::size_t bits) {
   if (bits < 8) throw Error("generate_prime: need at least 8 bits");
+  // The next odd candidate that trial division keeps (above 113, so never
+  // one of the small primes).
+  const auto survivor = [&] {
+    for (;;) {
+      Bignum candidate = random_bits(drbg, bits);
+      if (!candidate.is_odd()) candidate = candidate + Bignum(1);
+      if (!candidate.has_small_prime_factor()) return candidate;
+    }
+  };
+  // Two survivors take their base-2 witnesses as one pair, the second
+  // drawn ahead of time. A first that passes restores the DRBG to just
+  // after it was drawn, so its random rounds, and every later draw, are
+  // those of candidates tested one at a time.
+  const Bignum two(2);
   for (;;) {
-    Bignum candidate = random_bits(drbg, bits);
-    if (!candidate.is_odd()) candidate = candidate + Bignum(1);
-    if (candidate.is_probable_prime(drbg, 16)) return candidate;
+    const Bignum a = survivor();
+    const HmacDrbg after_a = drbg;
+    const Bignum b = survivor();
+    const MillerRabin ma(a), mb(b);
+    const auto [a_witnessed, b_witnessed] =
+        MillerRabin::witnesses<2>({&ma, &mb}, {&two, &two});
+    if (!a_witnessed) {
+      drbg = after_a;
+      if (ma.random_rounds(drbg, 16)) return a;
+    } else if (!b_witnessed && mb.random_rounds(drbg, 16)) {
+      return b;
+    }
   }
 }
 

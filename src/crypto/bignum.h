@@ -8,15 +8,28 @@
 // words and one product-scanning (FIPS) multiply with a three-word column
 // accumulator, also as a squaring that computes each cross product once.
 // Its body is instantiated at 4, 8, 12 and 16 words (RSA-512/1024 and their
-// CRT halves, Oakley-1 DH) and at runtime width for every other size.
+// CRT halves, Oakley-1 DH) and at runtime width for every other size, with
+// a lane count: the two-lane entry computes two independent products of
+// one width (different moduli allowed), sharing the column loop at 4
+// words.
 // Exponents of more than 64 bits take a fixed 4-bit window, whose sequence
 // of operations depends only on their bit length; shorter ones, which here
 // are only public RSA exponents, take square-and-multiply with no table.
+// The window also runs as two ladders in the two-lane kernel
+// (MontgomeryModulus::powmod_pair), the shorter exponent padded with zero
+// digits: CRT signing pairs its two halves, and Miller-Rabin pairs the
+// base-2 witnesses of two candidates and its random rounds two at a time.
+// Pairing draws ahead of the HmacDrbg and, whenever the first lane's
+// verdict means one-at-a-time testing would not have made the second
+// draw, restores a snapshot taken before it; so every prime, key and later
+// draw is that of one candidate and one base at a time. Trial division
+// takes remainders over the limbs without allocating.
 // MontgomeryModulus keeps the per-modulus constants of that form across
 // calls, and FixedBaseTable raises one fixed base (the DH generator) with a
 // precomputed table instead of squarings.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <memory>
@@ -106,11 +119,14 @@ class Bignum {
   static Bignum generate_prime(HmacDrbg& drbg, std::size_t bits);
 
  private:
-  class Montgomery;  // odd-modulus exponentiation context (bignum.cpp)
+  class Montgomery;   // odd-modulus exponentiation context (bignum.cpp)
+  class MillerRabin;  // one candidate's witnesses (bignum.cpp)
   friend class MontgomeryModulus;
   friend class FixedBaseTable;
 
   void trim();
+  /// Whether a prime below 114 divides this (for this above 113).
+  bool has_small_prime_factor() const;
   static Bignum from_limbs(std::vector<std::uint32_t> limbs);
 
   // Little-endian limbs; no trailing zero limbs (canonical form).
@@ -128,8 +144,10 @@ struct Bignum::DivMod {
 /// any number of threads at once.
 class MontgomeryModulus {
  public:
-  /// Throws Error unless m is odd and greater than 1.
-  explicit MontgomeryModulus(const Bignum& m);
+  /// Residues of m's width in 64-bit words, or of `words` if that is more,
+  /// so that m can pair with a longer modulus in powmod_pair. Throws Error
+  /// unless m is odd and greater than 1.
+  explicit MontgomeryModulus(const Bignum& m, std::size_t words = 0);
   ~MontgomeryModulus();
   MontgomeryModulus(MontgomeryModulus&&) noexcept;
 
@@ -137,6 +155,16 @@ class MontgomeryModulus {
 
   /// base^exponent mod m; equals base.powmod(exponent, value()).
   Bignum powmod(const Bignum& base, const Bignum& exponent) const;
+
+  /// {base0^exponent0 mod m0, base1^exponent1 mod m1}, equal to the two
+  /// powmods: their 4-bit-window ladders run as one pair in the two-lane
+  /// kernel, even for exponents of at most 64 bits, and the sequence of
+  /// operations depends only on the longer exponent's bit length. Throws
+  /// Error unless their residues have the same width.
+  static std::array<Bignum, 2> powmod_pair(
+      const MontgomeryModulus& m0, const Bignum& base0,
+      const Bignum& exponent0, const MontgomeryModulus& m1,
+      const Bignum& base1, const Bignum& exponent1);
 
  private:
   friend class FixedBaseTable;

@@ -126,27 +126,19 @@ Bytes hkdf(BytesView salt, BytesView ikm, BytesView info, std::size_t length) {
   return hkdf_expand(hkdf_extract(salt, ikm), info, length);
 }
 
-HmacDrbg::HmacDrbg(BytesView seed) : key_(32, 0x00), v_(32, 0x01) {
+HmacDrbg::HmacDrbg(BytesView seed) : k_(Bytes(32, 0x00)) {
+  v_.fill(0x01);
   update_state(seed);
 }
 
 void HmacDrbg::update_state(BytesView provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  {
-    const std::uint8_t zero = 0x00;
-    const Digest k = Hmac(key_).mac({v_, BytesView(&zero, 1), provided});
-    key_.assign(k.begin(), k.end());
-  }
-  {
-    const Digest v = hmac_sha256(key_, v_);
-    v_.assign(v.begin(), v.end());
-  }
-  if (!provided.empty()) {
-    const std::uint8_t one = 0x01;
-    const Digest k = Hmac(key_).mac({v_, BytesView(&one, 1), provided});
-    key_.assign(k.begin(), k.end());
-    const Digest v = hmac_sha256(key_, v_);
-    v_.assign(v.begin(), v.end());
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V); and again with
+  // 0x01 when something is provided.
+  for (const std::uint8_t round : {0x00, 0x01}) {
+    if (round == 0x01 && provided.empty()) break;
+    k_ = Hmac(digest_view(
+        k_.mac({digest_view(v_), BytesView(&round, 1), provided})));
+    v_ = k_.mac({digest_view(v_)});
   }
 }
 
@@ -154,8 +146,7 @@ Bytes HmacDrbg::generate(std::size_t n) {
   Bytes out;
   out.reserve(n);
   while (out.size() < n) {
-    const Digest v = hmac_sha256(key_, v_);
-    v_.assign(v.begin(), v.end());
+    v_ = k_.mac({digest_view(v_)});
     const std::size_t take = std::min<std::size_t>(32, n - out.size());
     out.insert(out.end(), v_.begin(), v_.begin() + static_cast<long>(take));
   }

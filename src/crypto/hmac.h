@@ -45,6 +45,9 @@ Bytes hkdf_expand(const Digest& prk, BytesView info, std::size_t length);
 Bytes hkdf(BytesView salt, BytesView ikm, BytesView info, std::size_t length);
 
 /// Deterministic random bit generator per SP 800-90A (HMAC_DRBG, SHA-256).
+/// The state is K, held as one keyed Hmac (keyed once per new K), and V. It
+/// is a plain value: a copy is a snapshot, and assigning the copy back
+/// rewinds the generator to it (key generation draws ahead this way).
 class HmacDrbg {
  public:
   explicit HmacDrbg(BytesView seed);
@@ -58,8 +61,8 @@ class HmacDrbg {
  private:
   void update_state(BytesView provided);
 
-  Bytes key_;  // K
-  Bytes v_;    // V
+  Hmac k_;    // HMAC keyed with K
+  Digest v_;  // V
 };
 
 }  // namespace lateral::crypto

@@ -14,7 +14,11 @@
 // fast it is produced.
 //
 // The Montgomery kernels behind Bignum's odd-modulus arithmetic are
-// portable C++ only; a context picks them by the modulus's word count.
+// portable C++ only; a context picks them by the modulus's word count. One
+// body serves one lane and two: the two-lane entry runs two independent
+// products of one width (different moduli allowed), in one column loop at
+// 4 words, which Bignum's paired exponentiation uses for Miller-Rabin and
+// CRT signing.
 #pragma once
 
 #include <cstddef>
@@ -105,11 +109,33 @@ using MontgomeryKernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
                                   const std::uint64_t* m, std::uint64_t m_inv,
                                   std::size_t n, std::uint64_t* scratch);
 
-/// One product-scanning body (bignum.cpp), as a multiply and as a squaring
-/// (`sqr` reads only a and returns mul(a, a) with fewer products).
+/// The operands of L independent Montgomery products of one width n: lane i
+/// computes out[i] = a[i]*b[i]*2^(-64n) mod m[i] under m_inv[i], with the
+/// one-lane kernel's conditions on each lane. out[i] may alias a[i] or b[i].
+template <std::size_t L>
+struct MontgomeryLanes {
+  std::uint64_t* out[L];
+  const std::uint64_t* a[L];
+  const std::uint64_t* b[L];
+  const std::uint64_t* m[L];
+  std::uint64_t m_inv[L];
+};
+
+/// Two lanes; `scratch` holds 4n words. At 4 words they share one column
+/// loop (one chain of column additions is latency-bound there, and a
+/// second independent chain fills the gaps); at other widths they run the
+/// one-lane body in turn.
+using MontgomeryPairKernel = void (*)(const MontgomeryLanes<2>& lanes,
+                                      std::size_t n, std::uint64_t* scratch);
+
+/// One product-scanning body (bignum.cpp) with a lane count, as a multiply
+/// and as a squaring (`sqr` reads only a and returns mul(a, a) with fewer
+/// products), for one lane and for two.
 struct MontgomeryKernels {
   MontgomeryKernel mul;
   MontgomeryKernel sqr;
+  MontgomeryPairKernel mul2;
+  MontgomeryPairKernel sqr2;
 };
 
 /// The kernels for an n-word modulus: the body instantiated at n for

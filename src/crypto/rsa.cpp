@@ -8,6 +8,11 @@ namespace {
 
 constexpr std::uint64_t kPublicExponent = 65537;
 
+// p and q have modulus_bits / 2 bits and the rest, top bits set, so n has
+// modulus_bits or one bit less; encode_message needs em_len >= 50, an n of
+// at least 393 bits.
+constexpr std::size_t kMinModulusBits = 394;
+
 /// EMSA-PKCS1-v1_5-style encoding: 0x00 0x01 FF..FF 0x00 || DER-ish prefix ||
 /// SHA-256(m). We use a fixed ASCII marker instead of the ASN.1 DigestInfo —
 /// the structure (fixed padding, full-width message representative) is what
@@ -60,8 +65,8 @@ Result<RsaPublicKey> RsaPublicKey::deserialize(BytesView in) {
 }
 
 RsaKeyPair RsaKeyPair::generate(HmacDrbg& drbg, std::size_t modulus_bits) {
-  if (modulus_bits < 384)
-    throw Error("RsaKeyPair: modulus must be at least 384 bits");
+  if (modulus_bits < kMinModulusBits)
+    throw Error("RsaKeyPair: modulus must be at least 394 bits");
   const Bignum e(kPublicExponent);
   for (;;) {
     const Bignum p = Bignum::generate_prime(drbg, modulus_bits / 2);
@@ -76,10 +81,14 @@ RsaKeyPair RsaKeyPair::generate(HmacDrbg& drbg, std::size_t modulus_bits) {
     if (!qinv) continue;  // unreachable: distinct primes are coprime
     Bignum dp = *d % (p - Bignum(1));
     Bignum dq = *d % (q - Bignum(1));
+    // p and q share a residue width (the wider one's when an odd
+    // modulus_bits puts them in different word counts), so rsa_sign can
+    // pair their exponentiations.
+    const std::size_t words = (q.bit_length() + 63) / 64;
     return RsaKeyPair{RsaPublicKey{n, e}, std::move(*d), p, q,
                       std::move(dp), std::move(dq), std::move(*qinv),
-                      std::make_shared<const MontgomeryModulus>(p),
-                      std::make_shared<const MontgomeryModulus>(q),
+                      std::make_shared<const MontgomeryModulus>(p, words),
+                      std::make_shared<const MontgomeryModulus>(q, words),
                       std::make_shared<const MontgomeryModulus>(n)};
   }
 }
@@ -89,9 +98,11 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView message) {
   auto em = encode_message(message, em_len);
   if (!em) throw Error("rsa_sign: modulus too small for encoding");
   // Garner: s = m2 + q * (qinv * (m1 - m2) mod p), with m1 = em^dp mod p
-  // and m2 = em^dq mod q. m2 may exceed p when q > p, hence the reduction.
-  const Bignum m1 = context_of(key.mont_p, key.p).powmod(*em, key.dp);
-  const Bignum m2 = context_of(key.mont_q, key.q).powmod(*em, key.dq);
+  // and m2 = em^dq mod q, computed as one pair. m2 may exceed p when
+  // q > p, hence the reduction.
+  const auto [m1, m2] = MontgomeryModulus::powmod_pair(
+      context_of(key.mont_p, key.p), *em, key.dp,
+      context_of(key.mont_q, key.q), *em, key.dq);
   const Bignum m2_mod_p = m2 % key.p;
   const Bignum diff =
       m1 >= m2_mod_p ? m1 - m2_mod_p : m1 + key.p - m2_mod_p;

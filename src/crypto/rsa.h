@@ -6,9 +6,11 @@
 // parameters are simulation-scale, not deployment advice.
 //
 // Signing runs on the CRT form of the private key: two exponentiations
-// modulo the half-size primes with half-length exponents, recombined by
-// Garner's formula, then checked against the public key before the
-// signature leaves (a faulty half would otherwise leak a factor of n).
+// modulo the half-size primes with half-length exponents, run as one pair
+// in the two-lane Montgomery kernel (MontgomeryModulus::powmod_pair),
+// recombined by Garner's formula, then checked against the public key
+// before the signature leaves (a faulty half would otherwise leak a factor
+// of n).
 // The signature is bit-identical to em^d mod n. A generated key keeps the
 // Montgomery contexts of p, q and n, so a signature builds none.
 #pragma once
@@ -52,10 +54,13 @@ struct RsaKeyPair {
   /// once; they are immutable, so copies of the key share them and any
   /// number of threads may sign with one key. rsa_sign throws Error when
   /// one is missing or no longer matches its field (a hand-built key, or
-  /// one whose p, q or n was edited).
+  /// one whose p, q or n was edited). p's and q's share one residue width,
+  /// the wider prime's.
   std::shared_ptr<const MontgomeryModulus> mont_p, mont_q, mont_n;
 
-  /// Generate a fresh key pair with an n of `modulus_bits`.
+  /// Generate a fresh key pair with an n of `modulus_bits` (n may have one
+  /// bit less). Throws Error below 394 bits, the smallest size whose n
+  /// always has the 393 bits a signature's encoding needs.
   static RsaKeyPair generate(HmacDrbg& drbg, std::size_t modulus_bits);
 };
 

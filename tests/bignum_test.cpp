@@ -368,6 +368,12 @@ std::vector<Words> kernel_moduli(util::Xoshiro& rng, std::size_t n) {
   return moduli;
 }
 
+// -m0^-1 mod 2^64 from Euclid, not the library's Newton iteration.
+std::uint64_t minus_inverse(std::uint64_t m0) {
+  const Bignum two64 = Bignum(1) << 64;
+  return to_words(two64 - *Bignum(m0).invmod(two64), 2)[0];
+}
+
 TEST(MontgomeryKernels, MatchKnuthDivision) {
   util::Xoshiro rng(19);
   for (const std::size_t n : kKernelWidths) {
@@ -375,10 +381,7 @@ TEST(MontgomeryKernels, MatchKnuthDivision) {
     for (const Words& m_words : kernel_moduli(rng, n)) {
       const Bignum m = from_words(m_words);
       const Bignum r = Bignum(1) << (64 * n);
-      // -m^-1 mod 2^64 from Euclid, not the library's Newton iteration.
-      const Bignum two64 = Bignum(1) << 64;
-      const Bignum inv = *Bignum(m_words[0]).invmod(two64);
-      const std::uint64_t m_inv = to_words(two64 - inv, 2)[0];
+      const std::uint64_t m_inv = minus_inverse(m_words[0]);
       std::vector<Bignum> operands = {Bignum(), Bignum(1), m - Bignum(1)};
       for (int i = 0; i < 4; ++i)
         operands.push_back(Bignum::from_bytes(rng.bytes(8 * n + 8)) % m);
@@ -413,6 +416,102 @@ TEST(MontgomeryKernels, MatchKnuthDivision) {
       }
     }
   }
+}
+
+// The two-lane entry against the one-lane kernel, lane by lane: at every
+// width (the instantiated ones and runtime widths around them), every
+// modulus shape, a different modulus in each lane, edge and random
+// operands, outputs aliased to the operands, and sqr2 against mul(a, a).
+TEST(MontgomeryKernels, TwoLanesMatchOneLane) {
+  util::Xoshiro rng(23);
+  for (const std::size_t n : kKernelWidths) {
+    const kernels::MontgomeryKernels k = kernels::montgomery_kernels(n);
+    const std::vector<Words> moduli = kernel_moduli(rng, n);
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      const Words* m[2] = {&moduli[i], &moduli[(i + 1) % moduli.size()]};
+      const std::uint64_t m_inv[2] = {minus_inverse((*m[0])[0]),
+                                      minus_inverse((*m[1])[0])};
+      for (int trial = 0; trial < 6; ++trial) {
+        Words a[2], b[2], mul[2], sqr[2], out[2];
+        Words scratch(4 * n);
+        for (int l = 0; l < 2; ++l) {
+          const Bignum m_l = from_words(*m[l]);
+          const Bignum edge[] = {Bignum(), Bignum(1), m_l - Bignum(1)};
+          const auto operand = [&] {
+            return trial < 3 ? edge[(trial + l) % 3]
+                             : Bignum::from_bytes(rng.bytes(8 * n + 8)) % m_l;
+          };
+          a[l] = to_words(operand(), n);
+          b[l] = to_words(Bignum::from_bytes(rng.bytes(8 * n + 8)) % m_l, n);
+          mul[l] = sqr[l] = out[l] = Words(n);
+          k.mul(mul[l].data(), a[l].data(), b[l].data(), m[l]->data(),
+                m_inv[l], n, scratch.data());
+          k.mul(sqr[l].data(), a[l].data(), a[l].data(), m[l]->data(),
+                m_inv[l], n, scratch.data());
+        }
+        const auto lanes = [&](Words* dst, Words* x, Words* y) {
+          return kernels::MontgomeryLanes<2>{{dst[0].data(), dst[1].data()},
+                                             {x[0].data(), x[1].data()},
+                                             {y[0].data(), y[1].data()},
+                                             {m[0]->data(), m[1]->data()},
+                                             {m_inv[0], m_inv[1]}};
+        };
+        k.mul2(lanes(out, a, b), n, scratch.data());
+        EXPECT_EQ(out[0], mul[0]) << "n=" << n << " shape " << i;
+        EXPECT_EQ(out[1], mul[1]) << "n=" << n << " shape " << i;
+        k.sqr2(lanes(out, a, a), n, scratch.data());
+        EXPECT_EQ(out[0], sqr[0]) << "n=" << n << " shape " << i;
+        EXPECT_EQ(out[1], sqr[1]) << "n=" << n << " shape " << i;
+        // Each lane's output may alias its operands.
+        Words alias[2] = {a[0], a[1]};
+        k.mul2(lanes(alias, alias, b), n, scratch.data());
+        EXPECT_EQ(alias[0], mul[0]) << "n=" << n << " shape " << i;
+        EXPECT_EQ(alias[1], mul[1]) << "n=" << n << " shape " << i;
+        alias[0] = a[0];
+        alias[1] = a[1];
+        k.sqr2(lanes(alias, alias, alias), n, scratch.data());
+        EXPECT_EQ(alias[0], sqr[0]) << "n=" << n << " shape " << i;
+        EXPECT_EQ(alias[1], sqr[1]) << "n=" << n << " shape " << i;
+      }
+    }
+  }
+}
+
+// powmod_pair against two powmods: lanes with different moduli and
+// exponents of different lengths (the shorter one padded with zero
+// digits), exponents of at most 64 bits (which powmod takes without the
+// window), and a refusal of moduli of different widths.
+TEST(MontgomeryKernels, PowmodPairMatchesTwoPowmods) {
+  util::Xoshiro rng(24);
+  for (const std::size_t n : kKernelWidths) {
+    const std::vector<Words> moduli = kernel_moduli(rng, n);
+    for (std::size_t i = 0; i < moduli.size(); ++i) {
+      const Bignum m0 = from_words(moduli[i]);
+      const Bignum m1 = from_words(moduli[(i + 1) % moduli.size()]);
+      const MontgomeryModulus c0(m0), c1(m1);
+      const Bignum b0 = Bignum::from_bytes(rng.bytes(8 * n + 3));
+      const Bignum b1 = Bignum::from_bytes(rng.bytes(8 * n));
+      for (const auto& [e0, e1] : std::vector<std::pair<Bignum, Bignum>>{
+               {Bignum::from_bytes(rng.bytes(8 * n)), Bignum(65537)},
+               {Bignum(), Bignum::from_bytes(rng.bytes(8 * n + 5))},
+               {Bignum(3), Bignum(1) << 63}}) {
+        const auto [x0, x1] =
+            MontgomeryModulus::powmod_pair(c0, b0, e0, c1, b1, e1);
+        EXPECT_EQ(x0, ref_powmod(b0, e0, m0)) << n << " " << e0.to_hex();
+        EXPECT_EQ(x1, ref_powmod(b1, e1, m1)) << n << " " << e1.to_hex();
+      }
+    }
+  }
+  // A shorter modulus pairs with a longer one at the longer width.
+  const Bignum p = all_ones(127), q = all_ones(521);
+  const MontgomeryModulus narrow(p), wide(q), widened(p, 9);
+  EXPECT_THROW(MontgomeryModulus::powmod_pair(narrow, Bignum(3), p, wide,
+                                              Bignum(3), q),
+               Error);
+  const auto [x, y] = MontgomeryModulus::powmod_pair(
+      widened, Bignum(3), all_ones(200), wide, Bignum(5), all_ones(600));
+  EXPECT_EQ(x, ref_powmod(Bignum(3), all_ones(200), p));
+  EXPECT_EQ(y, ref_powmod(Bignum(5), all_ones(600), q));
 }
 
 // powmod at every kernel width and modulus shape, with windowed (long) and
@@ -524,6 +623,135 @@ TEST(Bignum, MillerRabinMatchesTrialDivision) {
     // 2^k + 1 is divisible by 3 for odd k.
     EXPECT_FALSE((all_ones(k) + Bignum(2)).is_probable_prime(drbg)) << k;
   }
+}
+
+// Miller-Rabin one candidate and one base at a time on the public API
+// (powmod, mulmod): trial division by the primes below 114, base 2, then
+// `rounds` bases random_below(n - 3) + 2. `witness_round` is the random
+// round whose base witnessed, or -1.
+struct RefVerdict {
+  bool prime;
+  int witness_round;
+};
+
+RefVerdict ref_miller_rabin(const Bignum& n, HmacDrbg& drbg, int rounds) {
+  if (n < Bignum(2)) return {false, -1};
+  for (const std::uint32_t p :
+       {2,  3,  5,  7,  11, 13, 17, 19, 23,  29,  31,  37,  41,  43,  47,
+        53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113}) {
+    if (n == Bignum(p)) return {true, -1};
+    if ((n % Bignum(p)).is_zero()) return {false, -1};
+  }
+  const Bignum n_minus_1 = n - Bignum(1);
+  Bignum d = n_minus_1;
+  std::size_t s = 0;
+  while (!d.is_odd()) {
+    d = d >> 1;
+    ++s;
+  }
+  const auto witness = [&](const Bignum& a) {
+    Bignum x = a.powmod(d, n);
+    if (x == Bignum(1) || x == n_minus_1) return false;
+    for (std::size_t i = 1; i < s; ++i) {
+      x = x.mulmod(x, n);
+      if (x == n_minus_1) return false;
+    }
+    return true;
+  };
+  if (witness(Bignum(2))) return {false, -1};
+  for (int round = 0; round < rounds; ++round)
+    if (witness(Bignum::random_below(drbg, n - Bignum(3)) + Bignum(2)))
+      return {false, round};
+  return {true, -1};
+}
+
+Bignum ref_generate_prime(HmacDrbg& drbg, std::size_t bits) {
+  for (;;) {
+    Bignum candidate = Bignum::random_bits(drbg, bits);
+    if (!candidate.is_odd()) candidate = candidate + Bignum(1);
+    if (ref_miller_rabin(candidate, drbg, 16).prime) return candidate;
+  }
+}
+
+// The library pairs base-2 witnesses of consecutive candidates and random
+// rounds two at a time, drawing ahead and rewinding its DRBG; it must give
+// the verdicts and leave the DRBG where one-at-a-time testing does.
+TEST(Bignum, PairedMillerRabinMatchesOneAtATime) {
+  const auto check = [](const Bignum& n, const std::string& seed,
+                        int rounds) {
+    HmacDrbg lib(to_bytes(seed)), ref(to_bytes(seed));
+    const bool verdict = n.is_probable_prime(lib, rounds);
+    const RefVerdict expected = ref_miller_rabin(n, ref, rounds);
+    EXPECT_EQ(verdict, expected.prime) << n.to_hex() << " " << seed;
+    EXPECT_EQ(lib.generate(16), ref.generate(16)) << n.to_hex() << " " << seed;
+    return expected;
+  };
+  HmacDrbg drbg(to_bytes("paired-mr"));
+  for (const std::size_t bits : {64u, 130u, 256u, 512u}) {
+    const Bignum p = ref_generate_prime(drbg, bits);
+    const Bignum q = ref_generate_prime(drbg, bits);
+    for (const int rounds : {16, 5}) {  // an odd count ends on one base
+      EXPECT_TRUE(check(p, "prime", rounds).prime) << bits;
+      check(p * Bignum(113), "trial-division", rounds);
+      check(p * q, "base-2", rounds);
+    }
+  }
+  // A 251-bit (4-word) strong pseudoprime to base 2, the Carmichael number
+  // (6k+1)(12k+1)(18k+1) for k = 0x112486d852aefbac04a6e (about 7.5% of
+  // bases are strong liars): only a random round catches it. Among these
+  // seeds the first witness is an even round (the first base of a pair,
+  // where the DRBG goes back to before the second was drawn) and an odd
+  // one.
+  const Bignum sprp = *Bignum::from_hex(
+      "639f98123640fdf36552b0859333b5fd16ade134dd90f158138de39465b4029");
+  bool even = false, odd = false;
+  for (int seed = 0; seed < 16; ++seed) {
+    const RefVerdict v = check(sprp, "sprp-" + std::to_string(seed), 16);
+    EXPECT_FALSE(v.prime);
+    (v.witness_round % 2 == 0 ? even : odd) = true;
+  }
+  EXPECT_TRUE(even);
+  EXPECT_TRUE(odd);
+  // generate_prime at 8 bits (one word) up to 512, odd widths included.
+  for (const std::size_t bits : {8u, 64u, 255u, 256u, 257u, 512u}) {
+    for (int seed = 0; seed < 3; ++seed) {
+      const std::string name = "gen-" + std::to_string(bits) + "-" +
+                               std::to_string(seed);
+      HmacDrbg lib(to_bytes(name)), ref(to_bytes(name));
+      EXPECT_EQ(Bignum::generate_prime(lib, bits),
+                ref_generate_prime(ref, bits))
+          << name;
+      EXPECT_EQ(lib.generate(16), ref.generate(16)) << name;
+    }
+  }
+}
+
+// Keys, one signature each and the DRBG's next draw, recorded before key
+// generation and CRT signing were paired: 16 seeds at 512 bits, 2 at
+// 1024, and 2 each at 513 and 641 bits, where p and q differ in word count
+// and sign at the wider width. One SHA-256 per size.
+TEST(Bignum, GoldenRsaKeysAcrossSeeds) {
+  const auto digest = [](std::size_t bits, int seeds) {
+    Sha256 h;
+    for (int i = 0; i < seeds; ++i) {
+      HmacDrbg drbg(to_bytes("golden-keys-" + std::to_string(bits) + "-" +
+                             std::to_string(i)));
+      const RsaKeyPair key = RsaKeyPair::generate(drbg, bits);
+      h.update(key.pub.n.to_bytes());
+      h.update(key.d.to_bytes());
+      h.update(rsa_sign(key, to_bytes("golden keys")));
+      h.update(drbg.generate(16));
+    }
+    return util::to_hex(digest_bytes(h.finish()));
+  };
+  EXPECT_EQ(digest(512, 16),
+            "2e4b06356650be96b776871e557917eab9e680ca2246e426d4e3d54a9ac71ebf");
+  EXPECT_EQ(digest(1024, 2),
+            "06f1303ba90a658a33de55212a29c4d1cefc472a71b46fff272efa32aef5c6e1");
+  EXPECT_EQ(digest(513, 2),
+            "12478b252b4077ce602a26fdb9f7d68eecd5812d1a936e113b6a16426b96dc8d");
+  EXPECT_EQ(digest(641, 2),
+            "d0830dd181fdc722faf9254b9a418c35b5e9be53e3bba667c63ff16094373cea");
 }
 
 // Known answers from fixed DRBG seeds, recorded before powmod moved to

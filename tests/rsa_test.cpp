@@ -2,6 +2,8 @@
 // CRT signing against plain exponentiation.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
@@ -203,6 +205,23 @@ TEST_F(RsaTest, FingerprintStableAndDistinct) {
 TEST_F(RsaTest, GenerationRejectsTinyModulus) {
   HmacDrbg drbg(to_bytes("tiny"));
   EXPECT_THROW(RsaKeyPair::generate(drbg, 128), Error);
+}
+
+// n has modulus_bits or one bit less, and a signature's encoding needs 50
+// bytes, an n of at least 393 bits. So 393 is refused at generation
+// rather than at the first signature, and the smallest accepted size signs
+// and verifies whichever of its two widths n has.
+TEST_F(RsaTest, GenerationRefusesModulusTooSmallToSign) {
+  HmacDrbg drbg(to_bytes("smallest-modulus"));
+  EXPECT_THROW(RsaKeyPair::generate(drbg, 393), Error);
+  std::set<std::size_t> widths;
+  for (int i = 0; i < 8; ++i) {
+    const RsaKeyPair key = RsaKeyPair::generate(drbg, 394);
+    widths.insert(key.pub.n.bit_length());
+    const Bytes sig = rsa_sign(key, to_bytes("smallest"));
+    EXPECT_TRUE(rsa_verify(key.pub, to_bytes("smallest"), sig).ok());
+  }
+  EXPECT_EQ(widths, (std::set<std::size_t>{393, 394}));
 }
 
 TEST_F(RsaTest, DistinctKeysFromDistinctSeeds) {
