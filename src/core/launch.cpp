@@ -18,24 +18,6 @@ BootOutcome run_secure_boot(const crypto::RsaPublicKey& owner_key,
   return outcome;
 }
 
-BootOutcome run_authenticated_boot(tpm::PcrBank& pcrs, std::size_t pcr_index,
-                                   const std::vector<BootStage>& stages) {
-  BootOutcome outcome;
-  for (const BootStage& stage : stages) {
-    const crypto::Digest measurement = stage.image.measurement();
-    // Measure BEFORE execute: the stage cannot lie about itself because the
-    // previous (already-measured) stage extends the PCR.
-    if (const Status s = pcrs.extend(pcr_index, measurement); !s.ok()) {
-      outcome.refusal = "PCR extend failed";
-      return outcome;
-    }
-    outcome.log.push_back(measurement);
-    outcome.stages_run++;
-  }
-  outcome.booted = true;  // nothing is ever refused, only recorded
-  return outcome;
-}
-
 crypto::Digest expected_pcr_after_boot(const std::vector<BootStage>& stages) {
   crypto::Digest pcr{};
   for (const BootStage& stage : stages) {

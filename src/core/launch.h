@@ -22,7 +22,7 @@
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "substrate/isolation.h"
-#include "tpm/pcr_bank.h"
+#include "tpm/pcr_bank.h"  // the PCR log callers pass
 #include "util/result.h"
 
 namespace lateral::core {
@@ -55,9 +55,26 @@ BootOutcome run_secure_boot(const crypto::RsaPublicKey& owner_key,
 
 /// Authenticated boot: run everything, extend each stage's measurement into
 /// `pcrs` at `pcr_index` — the cryptographic boot log that can later be
-/// quoted. Users keep "the freedom to run arbitrary code".
-BootOutcome run_authenticated_boot(tpm::PcrBank& pcrs, std::size_t pcr_index,
-                                   const std::vector<BootStage>& stages);
+/// quoted. Users keep "the freedom to run arbitrary code". `pcrs` is the
+/// TPM's PCR bank, or anything else with its `Status extend(index, digest)`.
+template <typename Log>
+BootOutcome run_authenticated_boot(Log& pcrs, std::size_t pcr_index,
+                                   const std::vector<BootStage>& stages) {
+  BootOutcome outcome;
+  for (const BootStage& stage : stages) {
+    const crypto::Digest measurement = stage.image.measurement();
+    // Measure BEFORE execute: the stage cannot lie about itself because the
+    // previous (already-measured) stage extends the PCR.
+    if (const Status s = pcrs.extend(pcr_index, measurement); !s.ok()) {
+      outcome.refusal = "PCR extend failed";
+      return outcome;
+    }
+    outcome.log.push_back(measurement);
+    outcome.stages_run++;
+  }
+  outcome.booted = true;  // nothing is ever refused, only recorded
+  return outcome;
+}
 
 /// The PCR value a verifier expects after an authenticated boot of exactly
 /// `stages` (starting from a zeroed PCR).

@@ -385,7 +385,12 @@ std::string to_text(const std::vector<Manifest>& manifests) {
     for (const std::string& peer : m.trusts) out << "  trusts " << peer << "\n";
     if (m.needs_sealing) out << "  seal\n";
     if (m.needs_attestation) out << "  attest\n";
-    out << "  assets " << m.asset_value << "\n";
+    // Shortest form that parses back to the same double (the ostream's
+    // default 6 digits would not).
+    char assets[32];
+    const auto printed =
+        std::to_chars(assets, assets + sizeof(assets), m.asset_value);
+    out << "  assets " << std::string_view(assets, printed.ptr) << "\n";
     out << "  loc " << m.loc << "\n";
     if (m.restart) {
       out << "  restart {\n";

@@ -4,9 +4,9 @@
 // TPM security chips, but as software running within TrustZone"; Raj et
 // al., USENIX Security'16).
 //
-// Same command set as the discrete chip (PCR bank, quotes, PCR-bound
-// sealing, CRTM measurement of the boot ROM) — and the interchangeability
-// test suite runs the identical BitLocker-style scenario against both.
+// The command set is the discrete chip's own, tpm::CommandSet (PCR bank,
+// quotes, PCR-bound sealing, NV counters, CRTM measurement of the boot ROM),
+// and the interchangeability suite drives both through it.
 // The trade-offs differ exactly as the paper argues:
 //  * invocations cross the secure monitor, not a slow LPC bus: fTPM
 //    commands are orders of magnitude faster (TAB1);
@@ -16,39 +16,18 @@
 //    secure-world OS's secondary isolation.
 #pragma once
 
-#include "substrate/paged_memory.h"
 #include "substrate/registry.h"
-#include "tpm/nv_counter.h"
-#include "tpm/pcr_bank.h"
+#include "tpm/command_set.h"
 
 namespace lateral::ftpm {
 
 // Memory: secure-world DRAM frames behind the TZASC, plaintext on the bus;
 // a component touches only its own.
-class Ftpm final : public substrate::PagedSubstrate {
+class Ftpm final : public tpm::CommandSet {
  public:
   Ftpm(hw::Machine& machine, substrate::SubstrateConfig config);
 
   const substrate::SubstrateInfo& info() const override;
-
-  // --- TPM command set (same signatures as tpm::Tpm) ------------------------
-  Status pcr_extend(std::size_t index, const crypto::Digest& digest);
-  Result<crypto::Digest> pcr_read(std::size_t index) const;
-  crypto::Digest pcr_composite(const std::vector<std::size_t>& selection) const;
-  Result<substrate::Quote> quote_pcrs(const std::vector<std::size_t>& selection,
-                                      BytesView nonce);
-  Result<Bytes> seal_to_pcrs(const std::vector<std::size_t>& selection,
-                             BytesView plaintext);
-  Result<Bytes> unseal_pcrs(BytesView sealed);
-  Status nv_define(const std::string& name);
-  Result<std::uint64_t> nv_read(const std::string& name);
-  Result<std::uint64_t> nv_increment(const std::string& name);
-
-  /// The fTPM keeps the chip's interface contract, including its lack of a
-  /// shared-memory plane: commands marshal through the secure monitor so
-  /// the two implementations stay interchangeable (paper §II-C). Regions
-  /// are refused; callers use the copy path.
-  bool supports_regions() const override { return false; }
 
  protected:
   Status admit_domain(const substrate::DomainSpec& spec) const override;
@@ -57,18 +36,12 @@ class Ftpm final : public substrate::PagedSubstrate {
       const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
-  Cycles attest_cost() const override;
 
  private:
   /// Secure-world page tag (the TZASC programming the fTPM relies on).
   static constexpr std::uint64_t kSecureTag = 0xF79A'0001;
 
-  Cycles command_cost() const;
-
   substrate::SubstrateInfo info_;
-  tpm::PcrBank pcrs_;
-  tpm::NvCounterBank nv_;
-  std::uint64_t seal_pcr_nonce_ = 1;
 };
 
 Status register_factory(substrate::SubstrateRegistry& registry);

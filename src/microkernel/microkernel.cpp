@@ -51,7 +51,7 @@ void Microkernel::release_memory(DomainId id, DomainRecord& record) {
 }
 
 substrate::PagedSubstrate::AccessCharge Microkernel::access_charge(
-    const Space&, bool) const {
+    const Space&) const {
   // The MMU only walks the actor's own page tables; reaching them is a
   // syscall.
   return {.fixed = machine_.costs().syscall,

@@ -74,7 +74,7 @@ class Microkernel final : public substrate::PagedSubstrate {
   /// Grant regions are L4 map items: one syscall establishes the mapping,
   /// then both tasks address the same frames directly.
   Cycles region_map_cost(std::size_t pages) const override;
-  AccessCharge access_charge(const Space& actor, bool write) const override;
+  AccessCharge access_charge(const Space& actor) const override;
 
  private:
   struct MemoryGrant {

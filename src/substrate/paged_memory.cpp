@@ -78,8 +78,8 @@ Result<PagedSubstrate::Spaces> PagedSubstrate::check_access(
   return Spaces{*space, *space};
 }
 
-PagedSubstrate::AccessCharge PagedSubstrate::access_charge(const Space&,
-                                                           bool) const {
+PagedSubstrate::AccessCharge PagedSubstrate::access_charge(
+    const Space&) const {
   return {.per_16_bytes = machine_.costs().memcpy_per_16_bytes};
 }
 
@@ -253,33 +253,29 @@ Status PagedSubstrate::write_span(const Space& space,
 
 Result<PagedSubstrate::Access> PagedSubstrate::admit(DomainId actor,
                                                      DomainId target,
-                                                     bool write,
                                                      std::uint64_t offset,
                                                      std::size_t len) {
   if (is_dead(actor) || is_dead(target)) return Errc::domain_dead;
   auto spaces = check_access(actor, target);
   if (!spaces) return spaces.error();
   const auto [from, to] = *spaces;
-  const AccessCharge charge = access_charge(*from, write);
-  if (charge.before_bounds)
-    machine_.charge(charge.fixed, charge.per_16_bytes, len);
   if (!in_bounds(*to, offset, len)) return Errc::access_denied;  // page fault
-  if (!charge.before_bounds)
-    machine_.charge(charge.fixed, charge.per_16_bytes, len);
+  const AccessCharge charge = access_charge(*from);
+  machine_.charge(charge.fixed, charge.per_16_bytes, len);
   return Access{to, from->ctx};
 }
 
 Result<Bytes> PagedSubstrate::read_memory(DomainId actor, DomainId target,
                                           std::uint64_t offset,
                                           std::size_t len) {
-  auto access = admit(actor, target, /*write=*/false, offset, len);
+  auto access = admit(actor, target, offset, len);
   if (!access) return access.error();
   return read_span(*access->target, access->ctx, offset, len);
 }
 
 Status PagedSubstrate::write_memory(DomainId actor, DomainId target,
                                     std::uint64_t offset, BytesView data) {
-  auto access = admit(actor, target, /*write=*/true, offset, data.size());
+  auto access = admit(actor, target, offset, data.size());
   if (!access) return access.error();
   return write_span(*access->target, access->ctx, offset, data);
 }

@@ -15,8 +15,9 @@
 //                    SEP) and, with a cipher, routes them through it;
 //   check_access     the access rule, including the order in which unknown
 //                    ids and foreign accesses are refused;
-//   access_charge    what read_memory / write_memory charge, and whether
-//                    before or after the bounds check.
+//   access_charge    what an access by a given actor costs: one price
+//                    for a read and a write alike, charged only once the
+//                    access has passed the rule and the bounds check.
 //
 // CHERI and the NoC keep their own contiguous memory (capabilities, tiles)
 // and derive from IsolationSubstrate directly.
@@ -102,11 +103,9 @@ class PagedSubstrate : public IsolationSubstrate {
   using Spaces = std::pair<const Space*, const Space*>;
 
   /// What read_memory / write_memory charge for an access by `actor`.
-  /// `before_bounds` charges even an access the bounds check then refuses.
   struct AccessCharge {
     Cycles fixed = 0;
     Cycles per_16_bytes = 0;
-    bool before_bounds = false;
   };
 
   /// Frames come from `frames`, one page at a time, each charged
@@ -127,8 +126,9 @@ class PagedSubstrate : public IsolationSubstrate {
   /// Default: a domain touches only its own memory; a foreign access is
   /// refused before either id is looked up.
   virtual Result<Spaces> check_access(DomainId actor, DomainId target) const;
-  /// Default: a memcpy.
-  virtual AccessCharge access_charge(const Space& actor, bool write) const;
+  /// The price of a read or a write by `actor`, charged after the bounds
+  /// check. Default: a memcpy.
+  virtual AccessCharge access_charge(const Space& actor) const;
 
   /// Allocate, tag and load; backends with structural state extend these
   /// and call them first (attach) / anywhere (release).
@@ -171,10 +171,10 @@ class PagedSubstrate : public IsolationSubstrate {
     const Space* target = nullptr;
     hw::AccessContext ctx;  // the actor's
   };
-  /// The corpse check, the access rule, the lookups, the charge and the
-  /// bounds check every read_memory / write_memory passes.
-  Result<Access> admit(DomainId actor, DomainId target, bool write,
-                       std::uint64_t offset, std::size_t len);
+  /// The corpse check, the access rule, the lookups, the bounds check and
+  /// the charge every read_memory / write_memory passes.
+  Result<Access> admit(DomainId actor, DomainId target, std::uint64_t offset,
+                       std::size_t len);
   /// Scrub and free `frames` (drop tags, cipher state and stored bytes).
   void free_frames(const std::vector<hw::PhysAddr>& frames);
 

@@ -1,7 +1,5 @@
 #include "tpm/tpm.h"
 
-#include "crypto/hmac.h"
-
 namespace lateral::tpm {
 
 using substrate::AttackerModel;
@@ -10,7 +8,9 @@ using substrate::DomainKind;
 using substrate::Feature;
 
 Tpm::Tpm(hw::Machine& machine, substrate::SubstrateConfig config)
-    : PagedSubstrate(machine, std::move(config), machine.sram()) {
+    : CommandSet(machine, std::move(config), machine.sram(),
+                 {.command = machine.costs().tpm_command_base,
+                  .quote_signature = machine.costs().tpm_sign_extra}) {
   info_.name = "tpm";
   info_.features = Feature::spatial_isolation | Feature::sealed_storage |
                    Feature::attestation | Feature::late_launch;
@@ -20,9 +20,9 @@ Tpm::Tpm(hw::Machine& machine, substrate::SubstrateConfig config)
                            AttackerModel::physical_bus,
                            AttackerModel::physical_intrusion};
 
-  // CRTM: the unchangeable first boot step measures the boot ROM into PCR0
-  // before anything else runs (authenticated boot).
-  (void)pcr_extend(0, machine_.boot_rom().measurement());
+  // The CRTM's extend of PCR0 is one command over the bus to the chip
+  // (the fTPM's runs in the secure boot ROM and is not charged).
+  machine_.advance(prices().command);
 }
 
 const substrate::SubstrateInfo& Tpm::info() const { return info_; }
@@ -41,72 +41,10 @@ void Tpm::release_memory(DomainId id, DomainRecord& record) {
   if (active_ == id) active_ = substrate::kInvalidDomain;
 }
 
-substrate::PagedSubstrate::AccessCharge Tpm::access_charge(const Space&,
-                                                           bool) const {
+substrate::PagedSubstrate::AccessCharge Tpm::access_charge(
+    const Space&) const {
   return {.fixed = machine_.costs().tpm_command_base,
           .per_16_bytes = machine_.costs().tpm_per_byte * 16};
-}
-
-Status Tpm::pcr_extend(std::size_t index, const crypto::Digest& digest) {
-  machine_.advance(machine_.costs().tpm_command_base);
-  return pcrs_.extend(index, digest);
-}
-
-Result<crypto::Digest> Tpm::pcr_read(std::size_t index) const {
-  return pcrs_.read(index);
-}
-
-crypto::Digest Tpm::pcr_composite(
-    const std::vector<std::size_t>& selection) const {
-  return pcrs_.composite(selection);
-}
-
-Result<substrate::Quote> Tpm::quote_pcrs(
-    const std::vector<std::size_t>& selection, BytesView nonce) {
-  for (const std::size_t index : selection)
-    if (index >= kNumPcrs) return Errc::invalid_argument;
-  machine_.advance(machine_.costs().tpm_command_base +
-                   machine_.costs().tpm_sign_extra);
-  return substrate::make_quote("tpm", pcr_composite(selection), nonce,
-                               machine_.fuses().endorsement_key(),
-                               machine_.fuses().endorsement_cert());
-}
-
-Result<Bytes> Tpm::seal_to_pcrs(const std::vector<std::size_t>& selection,
-                                BytesView plaintext) {
-  for (const std::size_t index : selection)
-    if (index >= kNumPcrs) return Errc::invalid_argument;
-  machine_.advance(machine_.costs().tpm_command_base);
-
-  // Sealing key binds device key and current PCR composite.
-  const crypto::Aead aead = sealing_aead(pcr_composite(selection));
-  return encode_pcr_sealed(selection,
-                           aead.seal(seal_pcr_nonce_++, {}, plaintext));
-}
-
-Result<Bytes> Tpm::unseal_pcrs(BytesView sealed) {
-  machine_.advance(machine_.costs().tpm_command_base);
-  auto parsed = decode_pcr_sealed(sealed);
-  if (!parsed) return parsed.error();
-  const crypto::Aead aead = sealing_aead(pcr_composite(parsed->selection));
-  auto plain = aead.open(parsed->box, {});
-  if (!plain) return Errc::verification_failed;  // PCR state changed
-  return std::move(*plain);
-}
-
-Status Tpm::nv_define(const std::string& name) {
-  machine_.advance(machine_.costs().tpm_command_base);
-  return nv_.define(name);
-}
-
-Result<std::uint64_t> Tpm::nv_read(const std::string& name) {
-  machine_.advance(machine_.costs().tpm_command_base);
-  return nv_.read(name);
-}
-
-Result<std::uint64_t> Tpm::nv_increment(const std::string& name) {
-  machine_.advance(machine_.costs().tpm_command_base);
-  return nv_.increment(name);
 }
 
 Status Tpm::pre_call(DomainId actor, DomainId callee) {
@@ -119,7 +57,7 @@ Status Tpm::pre_call(DomainId actor, DomainId callee) {
     const DomainRecord* record = find_domain(callee);
     if (!record) return Errc::no_such_domain;
     machine_.advance(machine_.costs().tpm_command_base * 2);
-    (void)pcrs_.drtm_reset();  // PCR reset (only DRTM can)
+    reset_drtm_pcr();
     if (const Status s = pcr_extend(kDrtmPcr, record->measurement); !s.ok())
       return s;
     active_ = callee;
@@ -139,7 +77,9 @@ substrate::ConcurrencyLaw Tpm::concurrency_law() const {
 }
 
 Cycles Tpm::attest_cost() const {
-  return machine_.costs().tpm_command_base + machine_.costs().tpm_sign_extra;
+  // The chip signs inside itself, yet the generic attest adds a software
+  // signature on top; kept so that the recorded clock values hold.
+  return prices().command + prices().quote_signature;
 }
 
 Status register_factory(substrate::SubstrateRegistry& registry) {

@@ -91,13 +91,10 @@ Result<TrustZone::Spaces> TrustZone::check_access(DomainId actor,
 }
 
 substrate::PagedSubstrate::AccessCharge TrustZone::access_charge(
-    const Space& actor, bool write) const {
-  // A normal-world read enters the monitor. Kept as they were: a read is
-  // charged before its bounds check, and no write pays the syscall.
-  if (write) return {.per_16_bytes = machine_.costs().memcpy_per_16_bytes};
+    const Space& actor) const {
+  // A normal-world access, read or write, enters the monitor.
   return {.fixed = actor.tagged() ? 0 : machine_.costs().syscall,
-          .per_16_bytes = machine_.costs().memcpy_per_16_bytes,
-          .before_bounds = true};
+          .per_16_bytes = machine_.costs().memcpy_per_16_bytes};
 }
 
 Result<substrate::Quote> TrustZone::attest(DomainId actor,

@@ -84,7 +84,7 @@ class TrustZone final : public substrate::PagedSubstrate {
       const override;
   Result<Spaces> check_access(substrate::DomainId actor,
                               substrate::DomainId target) const override;
-  AccessCharge access_charge(const Space& actor, bool write) const override;
+  AccessCharge access_charge(const Space& actor) const override;
   Cycles message_cost(std::size_t len) const override;
   substrate::ConcurrencyLaw concurrency_law() const override;
   Cycles attest_cost() const override;

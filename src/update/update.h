@@ -13,8 +13,9 @@
 //    the inactive slot over the zero-copy block plane (RegionPool staging,
 //    chunked call_sg; copy fallback on TPM/fTPM targets) while the active
 //    slot keeps serving;
-//  * a monotonic NV counter in the platform TPM/fTPM (tpm::NvCounterBank,
-//    reached through RollbackCounters) bumped only on commit: any manifest
+//  * a monotonic NV counter in the platform TPM/fTPM (tpm::CommandSet's
+//    nv_* commands, reached through RollbackCounters) bumped only on
+//    commit: any manifest
 //    whose version is not strictly newer is refused with
 //    Errc::rollback_refused — rollback protection at the root of trust,
 //    not in policy;
@@ -88,8 +89,9 @@ UpdateManifest make_manifest(const std::string& component,
                              std::uint64_t version, BytesView image);
 
 /// Monotonic NV counter access for the orchestrator — the seam between the
-/// update logic and whichever root of trust the platform has. Adapt a
-/// tpm::Tpm or ftpm::Ftpm with DeviceRollbackCounters below.
+/// update logic and whichever root of trust the platform has. Adapt any
+/// tpm::CommandSet (the chip tpm::Tpm or the firmware ftpm::Ftpm, which run
+/// the same NV commands at their own price) with DeviceRollbackCounters.
 class RollbackCounters {
  public:
   virtual ~RollbackCounters() = default;
@@ -98,8 +100,8 @@ class RollbackCounters {
   virtual Result<std::uint64_t> increment(const std::string& name) = 0;
 };
 
-/// Adapter over any device exposing the TPM NV command set
-/// (nv_define / nv_read / nv_increment): tpm::Tpm and ftpm::Ftpm.
+/// Adapter over a device exposing the TPM NV commands (nv_define / nv_read
+/// / nv_increment): any tpm::CommandSet.
 template <typename Device>
 class DeviceRollbackCounters final : public RollbackCounters {
  public:

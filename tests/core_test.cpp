@@ -154,6 +154,22 @@ TEST(ManifestParser, RoundTripsThroughText) {
   }
 }
 
+// to_text prints assets in the shortest form that parses back to the same
+// double, so parse(to_text(m)) keeps every digit.
+TEST(ManifestParser, AssetsRoundTripExactly) {
+  for (const double value : {0.1234567, 0.1 + 0.2, 1e-300, 123456789.125,
+                             1.0 / 3.0, 2.5}) {
+    auto parsed = parse_manifests("component x {\n}\n");
+    ASSERT_TRUE(parsed.ok());
+    Manifest m = (*parsed)[0];
+    m.asset_value = value;
+    auto reparsed = parse_manifests(to_text({m}));
+    ASSERT_TRUE(reparsed.ok()) << to_text({m});
+    ASSERT_EQ(reparsed->size(), 1u);
+    EXPECT_EQ((*reparsed)[0].asset_value, value) << to_text({m});
+  }
+}
+
 TEST(ManifestParser, ParsesRestartStanza) {
   auto manifests = parse_manifests(
       "component x {\n"

@@ -5,8 +5,6 @@
 // interchangeable).
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "ftpm/ftpm.h"
 #include "hw/attacker.h"
 #include "test_support.h"
@@ -100,99 +98,77 @@ TEST_F(FtpmTest, NormalWorldCannotTouchFtpmState) {
 
 // ---------------------------------------------------------------------------
 // Interchangeability: one scenario, two implementations. The BitLocker
-// story from §II-B runs identically against the chip and the software TPM.
-struct TpmLike {
-  std::function<Status(std::size_t, const crypto::Digest&)> pcr_extend;
-  std::function<Result<substrate::Quote>(const std::vector<std::size_t>&,
-                                         BytesView)>
-      quote_pcrs;
-  std::function<Result<Bytes>(const std::vector<std::size_t>&, BytesView)>
-      seal_to_pcrs;
-  std::function<Result<Bytes>(BytesView)> unseal_pcrs;
-  std::string expected_name;
-};
-
+// story from §II-B runs identically against the chip and the software TPM,
+// both driven through the one command set they share.
 class TpmInterchangeTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     machine_ = test::make_machine("interchange-" + GetParam());
+    const hw::CostModel& costs = machine_->costs();
     if (GetParam() == "tpm") {
-      auto chip = std::make_unique<tpm::Tpm>(*machine_,
-                                             substrate::SubstrateConfig{});
-      auto* raw = chip.get();
-      holder_ = std::move(chip);
-      api_ = TpmLike{
-          [raw](std::size_t i, const crypto::Digest& d) {
-            return raw->pcr_extend(i, d);
-          },
-          [raw](const std::vector<std::size_t>& s, BytesView n) {
-            return raw->quote_pcrs(s, n);
-          },
-          [raw](const std::vector<std::size_t>& s, BytesView p) {
-            return raw->seal_to_pcrs(s, p);
-          },
-          [raw](BytesView b) { return raw->unseal_pcrs(b); },
-          "tpm"};
+      holder_ = std::make_unique<tpm::Tpm>(*machine_,
+                                           substrate::SubstrateConfig{});
+      expected_prices_ = {.command = costs.tpm_command_base,
+                          .quote_signature = costs.tpm_sign_extra};
     } else {
-      auto soft = std::make_unique<ftpm::Ftpm>(*machine_,
-                                               substrate::SubstrateConfig{});
-      auto* raw = soft.get();
-      holder_ = std::move(soft);
-      api_ = TpmLike{
-          [raw](std::size_t i, const crypto::Digest& d) {
-            return raw->pcr_extend(i, d);
-          },
-          [raw](const std::vector<std::size_t>& s, BytesView n) {
-            return raw->quote_pcrs(s, n);
-          },
-          [raw](const std::vector<std::size_t>& s, BytesView p) {
-            return raw->seal_to_pcrs(s, p);
-          },
-          [raw](BytesView b) { return raw->unseal_pcrs(b); },
-          "ftpm"};
+      holder_ = std::make_unique<ftpm::Ftpm>(*machine_,
+                                             substrate::SubstrateConfig{});
+      expected_prices_ = {
+          .command = 2 * costs.smc_world_switch + costs.tz_secure_os_dispatch,
+          .quote_signature = costs.sw_rsa_sign};
     }
   }
 
+  /// Clock cycles `command` advanced the machine by.
+  template <typename Fn>
+  Cycles cost_of(Fn&& command) {
+    const Cycles before = machine_->now();
+    command();
+    return machine_->now() - before;
+  }
+
+  tpm::CommandSet& api() { return *holder_; }
+
   std::unique_ptr<hw::Machine> machine_;
-  std::unique_ptr<substrate::IsolationSubstrate> holder_;
-  TpmLike api_;
+  std::unique_ptr<tpm::CommandSet> holder_;
+  tpm::CommandSet::Prices expected_prices_;
 };
 
 TEST_P(TpmInterchangeTest, BitLockerScenario) {
   // Measured boot: loader and kernel extended into PCR4.
   ASSERT_TRUE(
-      api_.pcr_extend(4, crypto::Sha256::hash(to_bytes("bootmgr"))).ok());
+      api().pcr_extend(4, crypto::Sha256::hash(to_bytes("bootmgr"))).ok());
   ASSERT_TRUE(
-      api_.pcr_extend(4, crypto::Sha256::hash(to_bytes("winload"))).ok());
+      api().pcr_extend(4, crypto::Sha256::hash(to_bytes("winload"))).ok());
 
   // Seal the volume key to the current boot state.
-  auto sealed = api_.seal_to_pcrs({0, 4}, to_bytes("volume-key"));
+  auto sealed = api().seal_to_pcrs({0, 4}, to_bytes("volume-key"));
   ASSERT_TRUE(sealed.ok());
 
   // Same boot chain: key released.
-  auto released = api_.unseal_pcrs(*sealed);
+  auto released = api().unseal_pcrs(*sealed);
   ASSERT_TRUE(released.ok());
   EXPECT_EQ(to_string(*released), "volume-key");
 
   // Evil-maid boot chain: PCR4 diverges, key stays locked.
   ASSERT_TRUE(
-      api_.pcr_extend(4, crypto::Sha256::hash(to_bytes("evil-loader"))).ok());
-  EXPECT_EQ(api_.unseal_pcrs(*sealed).error(), Errc::verification_failed);
+      api().pcr_extend(4, crypto::Sha256::hash(to_bytes("evil-loader"))).ok());
+  EXPECT_EQ(api().unseal_pcrs(*sealed).error(), Errc::verification_failed);
 }
 
 TEST_P(TpmInterchangeTest, QuoteChainsAndNamesImplementation) {
   ASSERT_TRUE(
-      api_.pcr_extend(10, crypto::Sha256::hash(to_bytes("app"))).ok());
-  auto quote = api_.quote_pcrs({0, 10}, to_bytes("nonce"));
+      api().pcr_extend(10, crypto::Sha256::hash(to_bytes("app"))).ok());
+  auto quote = api().quote_pcrs({0, 10}, to_bytes("nonce"));
   ASSERT_TRUE(quote.ok());
   EXPECT_TRUE(quote->verify(test::shared_vendor().root_public_key()).ok());
   // A verifier CAN tell the implementations apart (and may require the
   // chip's stronger attacker model) — the name is in the signed body.
-  EXPECT_EQ(quote->substrate_name, api_.expected_name);
+  EXPECT_EQ(quote->substrate_name, GetParam());
 }
 
 TEST_P(TpmInterchangeTest, SealedBlobsDoNotCrossImplementations) {
-  auto sealed = api_.seal_to_pcrs({0}, to_bytes("secret"));
+  auto sealed = api().seal_to_pcrs({0}, to_bytes("secret"));
   ASSERT_TRUE(sealed.ok());
 
   // The other implementation on the same machine class cannot unseal: the
@@ -203,6 +179,73 @@ TEST_P(TpmInterchangeTest, SealedBlobsDoNotCrossImplementations) {
   auto other_machine = test::make_machine("interchange-other");
   tpm::Tpm other(*other_machine, substrate::SubstrateConfig{});
   EXPECT_FALSE(other.unseal_pcrs(*sealed).ok());
+}
+
+TEST_P(TpmInterchangeTest, NvCountersAreMonotonic) {
+  ASSERT_TRUE(api().nv_define("fw-version").ok());
+  EXPECT_EQ(*api().nv_read("fw-version"), 0u);
+  EXPECT_EQ(*api().nv_increment("fw-version"), 1u);
+  EXPECT_EQ(*api().nv_increment("fw-version"), 2u);
+  // Defining again keeps the value: provisioning may re-run.
+  ASSERT_TRUE(api().nv_define("fw-version").ok());
+  EXPECT_EQ(*api().nv_read("fw-version"), 2u);
+  // Undefined counters fail closed.
+  EXPECT_EQ(api().nv_read("missing").error(), Errc::invalid_argument);
+  EXPECT_EQ(api().nv_increment("missing").error(), Errc::invalid_argument);
+  EXPECT_EQ(api().nv_define("").error(), Errc::invalid_argument);
+}
+
+TEST_P(TpmInterchangeTest, BadPcrSelectionRefusedForFree) {
+  const std::vector<std::size_t> bad = {0, tpm::kNumPcrs};
+  EXPECT_EQ(cost_of([&] {
+              EXPECT_EQ(api().quote_pcrs(bad, to_bytes("n")).error(),
+                        Errc::invalid_argument);
+            }),
+            0u);
+  EXPECT_EQ(cost_of([&] {
+              EXPECT_EQ(api().seal_to_pcrs(bad, to_bytes("k")).error(),
+                        Errc::invalid_argument);
+            }),
+            0u);
+}
+
+TEST_P(TpmInterchangeTest, MalformedUnsealBlobCostsOneCommand) {
+  // The command reaches the TPM before its blob is parsed.
+  EXPECT_EQ(cost_of([&] {
+              EXPECT_EQ(api().unseal_pcrs(Bytes{}).error(),
+                        Errc::invalid_argument);
+            }),
+            expected_prices_.command);
+  EXPECT_EQ(cost_of([&] { EXPECT_FALSE(api().unseal_pcrs(Bytes(10, 0)).ok()); }),
+            expected_prices_.command);
+}
+
+TEST_P(TpmInterchangeTest, EachImplementationChargesItsOwnPrice) {
+  EXPECT_EQ(api().prices().command, expected_prices_.command);
+  EXPECT_EQ(api().prices().quote_signature, expected_prices_.quote_signature);
+  const Cycles command = expected_prices_.command;
+  const crypto::Digest digest = crypto::Sha256::hash(to_bytes("event"));
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().pcr_extend(7, digest).ok()); }),
+            command);
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().pcr_read(7).ok()); }), 0u);
+  EXPECT_EQ(cost_of([&] { (void)api().pcr_composite({0, 7}); }), 0u);
+  EXPECT_EQ(cost_of([&] {
+              ASSERT_TRUE(api().quote_pcrs({0, 7}, to_bytes("n")).ok());
+            }),
+            command + expected_prices_.quote_signature);
+  Bytes sealed;
+  EXPECT_EQ(cost_of([&] {
+              auto blob = api().seal_to_pcrs({7}, to_bytes("key"));
+              ASSERT_TRUE(blob.ok());
+              sealed = std::move(*blob);
+            }),
+            command);
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().unseal_pcrs(sealed).ok()); }),
+            command);
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().nv_define("c").ok()); }), command);
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().nv_read("c").ok()); }), command);
+  EXPECT_EQ(cost_of([&] { ASSERT_TRUE(api().nv_increment("c").ok()); }),
+            command);
 }
 
 INSTANTIATE_TEST_SUITE_P(ChipAndSoftware, TpmInterchangeTest,

@@ -212,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(
                "ok ok ok ok ok domain_dead domain_dead domain_dead "
                "domain_dead ok no_such_domain no_such_domain ok domain_dead "
                "ok no_such_domain",
-               "8b88c428b6ea33d84e7d9736881241abe4c43e04534c844bc1c022bfca3a71b4"},
+               "97cb66832b915b190b710255e4c53583eb03b39acc94dabd1f563432bb658dff"},
         Golden{"trustzone+swmee",
                "ok ok ok ok ok ok ok ok access_denied access_denied "
                "no_such_domain no_such_domain no_such_domain no_such_domain "
@@ -220,7 +220,7 @@ INSTANTIATE_TEST_SUITE_P(
                "ok tamper_detected tamper_detected ok ok domain_dead "
                "domain_dead domain_dead domain_dead ok no_such_domain "
                "no_such_domain ok domain_dead ok no_such_domain",
-               "92adb0bce34042f92c1b4f907c8acaf394433afc4b9badd2a1fe6ab856dafee2"},
+               "b91c0de23cff2dc1c450e0b30f0f4862c6c5d86579a0d46bb82dc4ec48eebebf"},
         Golden{"sgx",
                "ok ok ok ok ok ok ok ok access_denied access_denied "
                "no_such_domain no_such_domain no_such_domain no_such_domain "

@@ -172,6 +172,91 @@ TEST_P(ConformanceTest, CompromisedDomainStillConfined) {
             Errc::access_denied);
 }
 
+// A refused access moves no byte, so it costs nothing: the same on every
+// substrate, whichever check refuses it and whichever direction it has.
+TEST_P(ConformanceTest, RefusedMemoryAccessIsFree) {
+  auto [a, b] = make_pair();
+  constexpr DomainId kUnknown = 999;
+  constexpr std::uint64_t kWrap = std::numeric_limits<std::uint64_t>::max() - 1;
+  const std::uint64_t past_end = 2 * hw::kPageSize;  // tc_spec: 2 pages
+  const auto expect_free = [&](const char* what, auto&& access) {
+    const Cycles before = machine_->now();
+    EXPECT_FALSE(access()) << what;
+    EXPECT_EQ(machine_->now(), before) << what;
+  };
+  const auto refused_read = [&](DomainId actor, DomainId target,
+                                std::uint64_t offset) {
+    return [=, this] {
+      return substrate_->read_memory(actor, target, offset, 4).ok();
+    };
+  };
+  const auto refused_write = [&](DomainId actor, DomainId target,
+                                 std::uint64_t offset) {
+    return [=, this] {
+      return substrate_->write_memory(actor, target, offset, to_bytes("data"))
+          .ok();
+    };
+  };
+  expect_free("read past end", refused_read(a, a, past_end));
+  expect_free("write past end", refused_write(a, a, past_end));
+  expect_free("read wrapping", refused_read(a, a, kWrap));
+  expect_free("write wrapping", refused_write(a, a, kWrap));
+  expect_free("read foreign", refused_read(b, a, 0));
+  expect_free("write foreign", refused_write(b, a, 0));
+  expect_free("read unknown actor", refused_read(kUnknown, a, 0));
+  expect_free("write unknown actor", refused_write(kUnknown, a, 0));
+  expect_free("read unknown target", refused_read(a, kUnknown, 0));
+  expect_free("write unknown target", refused_write(a, kUnknown, 0));
+  ASSERT_TRUE(substrate_->kill_domain(b).ok());
+  expect_free("read dead", refused_read(b, b, 0));
+  expect_free("write dead", refused_write(b, b, 0));
+  expect_free("read dead target", refused_read(a, b, 0));
+  expect_free("write dead actor", refused_write(b, a, 0));
+}
+
+// One price per access: writing n bytes costs what reading them does, for a
+// trusted component and, where the substrate hosts one, a legacy domain.
+// The one difference is memory encryption's: a write reseals each page it
+// touches (read-modify-write), one more engine pass per page. That pass is
+// priced as what a read pays for touching one more page, which is nothing
+// where pages are not encrypted.
+TEST_P(ConformanceTest, ReadAndWriteCostTheSame) {
+  const Bytes data = to_bytes("forty bytes of payload for one access..");
+  const std::uint64_t in_page = 0;
+  const std::uint64_t straddle = hw::kPageSize - 7;
+  const auto expect_same_price = [&](DomainId domain, const char* what) {
+    const auto cost = [&](auto&& access) {
+      const Cycles before = machine_->now();
+      EXPECT_TRUE(access()) << what;
+      return machine_->now() - before;
+    };
+    const auto read = [&](std::uint64_t offset) {
+      return cost([&] {
+        return substrate_->read_memory(domain, domain, offset, data.size())
+            .ok();
+      });
+    };
+    const auto write = [&](std::uint64_t offset) {
+      return cost([&] {
+        return substrate_->write_memory(domain, domain, offset, data).ok();
+      });
+    };
+    const Cycles page_pass = read(straddle) - read(in_page);
+    if (!has_feature(features(), Feature::memory_encryption))
+      EXPECT_EQ(page_pass, 0u) << what;
+    EXPECT_EQ(write(in_page), read(in_page) + page_pass) << what;
+    EXPECT_EQ(write(straddle), read(straddle) + 2 * page_pass) << what;
+  };
+  auto tc = substrate_->create_domain(tc_spec("trusted"));
+  ASSERT_TRUE(tc.ok());
+  expect_same_price(*tc, "trusted component");
+  if (has_feature(features(), Feature::legacy_hosting)) {
+    auto legacy = substrate_->create_domain(legacy_spec("legacy"));
+    ASSERT_TRUE(legacy.ok());
+    expect_same_price(*legacy, "legacy domain");
+  }
+}
+
 TEST_P(ConformanceTest, ChannelSendReceive) {
   auto [a, b] = make_pair();
   auto channel = substrate_->create_channel(a, b);
